@@ -11,7 +11,6 @@ package hitlist6bench
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -24,7 +23,6 @@ import (
 	"hitlist6/internal/core"
 	"hitlist6/internal/dnswire"
 	"hitlist6/internal/experiments"
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -171,51 +169,6 @@ func BenchmarkScanEngineStream(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.Batches), "batches")
 		b.ReportMetric(float64(results.Load()), "results")
-	}
-}
-
-// BenchmarkFleetScan measures the distributed scan fleet against the
-// single-scanner engine path: the same five-protocol sweep split across
-// N scanner nodes with work-stealing. On a multi-core runner wall-clock
-// time should fall near-linearly with node count (every node is an
-// independent scanner; only queue pops and merged stats are shared).
-func BenchmarkFleetScan(b *testing.B) {
-	w, err := worldgen.Generate(worldgen.Params{
-		Seed: 17, Scale: 1.0 / 10000, TailASes: 48, ScanIntervalDays: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.NewStream(17, "bench-fleet-targets")
-	prefixes := w.Net.AS.AnnouncedPrefixes()
-	targets := make([]ip6.Addr, 8192)
-	for i := range targets {
-		targets[i] = prefixes[r.Intn(len(prefixes))].RandomAddr(r)
-	}
-	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP443, netmodel.TCP80, netmodel.UDP443, netmodel.UDP53}
-	ctx := context.Background()
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			coord := fleet.New(w.Net, fleet.Config{Workers: nodes, Scan: scan.DefaultConfig(17)})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var results atomic.Uint64
-				res, err := coord.Scan(ctx, scan.SliceSource(targets).(scan.ShardedSource), protos, 100,
-					func(batch *scan.Batch) error {
-						results.Add(uint64(len(batch.Results)))
-						return nil
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steals := 0
-				for _, ws := range res.Workers {
-					steals += ws.Steals
-				}
-				b.ReportMetric(float64(results.Load()), "results")
-				b.ReportMetric(float64(steals), "steals")
-			}
-		})
 	}
 }
 

@@ -100,7 +100,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		srv := &http.Server{Handler: serve.NewHTTPHandlerWithMetrics(h, metrics)}
+		srv := newHTTPServer(h, metrics)
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "http: %v\n", err)
@@ -129,6 +129,30 @@ func main() {
 	}
 	for _, c := range closers {
 		c()
+	}
+}
+
+// HTTP server timeouts. Every endpoint answers one small JSON or text
+// document from an in-memory snapshot, so a well-behaved client needs
+// milliseconds per request; the bounds only cap how long a slow or
+// stalled client (a half-sent header, an unread response, an idle
+// keep-alive) can pin a connection.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 10 * time.Second
+	httpWriteTimeout      = 10 * time.Second
+	httpIdleTimeout       = 60 * time.Second
+)
+
+// newHTTPServer builds the HTTP/JSON API server over h, with every
+// connection phase bounded by the timeouts above.
+func newHTTPServer(h *serve.Handle, m *serve.Metrics) *http.Server {
+	return &http.Server{
+		Handler:           serve.NewHTTPHandlerWithMetrics(h, m),
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 }
 

@@ -14,11 +14,6 @@
 // batches complete — like real ZMap, output row order is arrival order,
 // not input order (rows within a batch stay in probe order). Pass
 // -ordered to buffer the full result set and emit input order instead.
-// Pass -fleet N to run the scan as a fleet of N scanner nodes
-// (internal/fleet): rows come out in canonical shard order, byte-
-// identical to a `-workers 1 -sinkqueue 0` single-process run for any N,
-// even with workers killed mid-scan via -fleetkill. A per-worker summary
-// table (shards/steals/probes/ms) prints to stderr.
 // -batchstats prints one stderr line per completed batch; -shardstats
 // prints the full per-shard throughput table after the scan. -distinct
 // additionally counts distinct responsive addresses; with -spill DIR the
@@ -47,7 +42,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -58,12 +52,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/hlfile"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -155,8 +147,6 @@ func main() {
 		chunk       = flag.Int("chunk", 0, "target-source pull chunk size (0 = default)")
 		sinkQueue   = flag.Int("sinkqueue", 8, "bounded CSV delivery queue depth (0 = write inline on probe workers)")
 		ordered     = flag.Bool("ordered", false, "buffer results and write in input order")
-		fleetN      = flag.Int("fleet", 0, "run the scan as a fleet of N scanner nodes; CSV comes out in canonical shard order, byte-identical to -workers 1 -sinkqueue 0")
-		fleetKill   = flag.String("fleetkill", "", "comma-separated fleet worker indices to kill at their first fault point (recovery drill; leave at least one survivor)")
 		batchStats  = flag.Bool("batchstats", false, "print per-batch throughput to stderr")
 		shardStats  = flag.Bool("shardstats", false, "print the full per-shard throughput table to stderr")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the scan to this file")
@@ -305,99 +295,8 @@ func main() {
 	}
 
 	var stats scan.Stats
-	var fleetRes *fleet.Result
 	ctx := context.Background()
-	if *fleetN > 0 {
-		// Fleet mode: N scanner nodes split the 64 shards, each shard's
-		// rows buffer in a per-shard body and the bodies concatenate in
-		// canonical shard order — byte-identical to a single-process
-		// `-workers 1 -sinkqueue 0` run regardless of node count, steals,
-		// or killed workers.
-		if *ordered {
-			die("-fleet is incompatible with -ordered\n")
-		}
-		shSrc, ok := src.(scan.ShardedSource)
-		if !ok {
-			// Line and sample sources are plain streams; shard them by
-			// materializing (the same trade -ordered makes).
-			targets, err := scan.Collect(src)
-			if err != nil {
-				die("collecting targets: %v\n", err)
-			}
-			shSrc = scan.SliceSource(targets).(scan.ShardedSource)
-		}
-		fcfg := fleet.Config{Workers: *fleetN, Scan: cfg}
-		if *fleetKill != "" {
-			kill := make(map[int]bool)
-			for _, f := range strings.Split(*fleetKill, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil {
-					die("parsing -fleetkill: %v\n", err)
-				}
-				kill[n] = true
-			}
-			fcfg.FaultHook = func(p fleet.FaultPoint) error {
-				if kill[p.Worker] {
-					return fleet.ErrWorkerKilled
-				}
-				return nil
-			}
-		}
-		coord := fleet.New(w.Net, fcfg)
-		var (
-			mu   sync.Mutex // batch-stats stderr lines only
-			bufs [ip6.AddrShards]bytes.Buffer
-			ws   [ip6.AddrShards]*scan.Writer
-		)
-		res, err := coord.Scan(ctx, shSrc, protos, *day, func(b *scan.Batch) error {
-			// Same-shard sink calls are sequential, so the per-shard
-			// writer slots need no locking.
-			if ws[b.Shard] == nil {
-				ws[b.Shard] = scan.NewBodyWriter(&bufs[b.Shard])
-			}
-			for _, r := range b.Results {
-				if responders != nil && r.Success {
-					responders.AddToShard(b.Shard, r.Target)
-				}
-				if err := ws[b.Shard].Write(r); err != nil {
-					return err
-				}
-			}
-			if *batchStats {
-				mu.Lock()
-				fmt.Fprintf(os.Stderr, "batch shard=%d seq=%d results=%d probes=%d responses=%d successes=%d\n",
-					b.Shard, b.Seq, len(b.Results), b.Stats.ProbesSent, b.Stats.Responses, b.Stats.Successes)
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil {
-			die("scanning: %v\n", err)
-		}
-		// Concurrent AddToShard rules out the streaming path's periodic
-		// compaction; one pass here bounds the run fan-in just the same.
-		if spillSet != nil {
-			if err := spillSet.Compact(); err != nil {
-				die("compacting spill set: %v\n", err)
-			}
-		}
-		stats = res.Stats
-		fleetRes = &res
-		if err := out.Flush(); err != nil { // header row
-			die("%v\n", err)
-		}
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			if ws[sh] == nil {
-				continue
-			}
-			if err := ws[sh].Flush(); err != nil {
-				die("%v\n", err)
-			}
-			if _, err := os.Stdout.Write(bufs[sh].Bytes()); err != nil {
-				die("%v\n", err)
-			}
-		}
-	} else if *ordered {
+	if *ordered {
 		// Input-order output requires the full result cross product, and
 		// therefore the materialized target list.
 		targets, err := scan.Collect(src)
@@ -482,9 +381,6 @@ func main() {
 		}
 	}
 	printShardSummary(os.Stderr, stats.PerShard, *shardStats)
-	if fleetRes != nil {
-		printFleetSummary(os.Stderr, *fleetRes)
-	}
 	// -serve attach mode: freeze the responder set into a snapshot and
 	// answer DNS liveness queries until a signal arrives. The signal only
 	// breaks the wait — the function still falls through to the shared
@@ -523,21 +419,6 @@ func main() {
 	}
 	writeMemProfile()
 	cleanup()
-}
-
-// printFleetSummary renders the per-worker fleet table: shard counts,
-// steals, probes, probe wall-clock and survival status.
-func printFleetSummary(w io.Writer, res fleet.Result) {
-	fmt.Fprintf(w, "fleet: workers=%d reissued=%d\n", len(res.Workers), res.Reissued)
-	fmt.Fprintf(w, "%6s %8s %8s %12s %10s  %s\n", "worker", "shards", "steals", "probes", "ms", "status")
-	for i, ws := range res.Workers {
-		status := "ok"
-		if ws.Failed {
-			status = "killed"
-		}
-		fmt.Fprintf(w, "%6d %8d %8d %12d %10.2f  %s\n",
-			i, ws.Shards, ws.Steals, ws.Probes, float64(ws.Nanos)/1e6, status)
-	}
 }
 
 // printShardSummary renders the engine's per-shard throughput: always a

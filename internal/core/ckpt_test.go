@@ -44,7 +44,7 @@ func TestJournaledIngestMatchesReference(t *testing.T) {
 // TestResumeMatchesUninterrupted is the durability acceptance gate: a
 // timeline interrupted after scan k and resumed from the checkpoint —
 // in a fresh process, against a fresh world, with a different worker
-// count, fleet size, or memory budget — produces records and snapshots
+// count or memory budget — produces records and snapshots
 // bit-identical to the same goldens an uninterrupted run is pinned to.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	days := weekly(0, 196)
@@ -59,9 +59,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		{"workers 4→1", 27,
 			func(c *Config, _ string) { c.ScanWorkers = 4 },
 			func(c *Config, _ string) { c.ScanWorkers = 1 }},
-		{"fleet 2→4", 7,
-			func(c *Config, _ string) { c.FleetWorkers = 2 },
-			func(c *Config, _ string) { c.FleetWorkers = 4 }},
 		{"spill→spill", 12,
 			func(c *Config, d string) { c.MemoryBudget = spillBudget; c.SpillDir = filepath.Join(d, "spill1") },
 			func(c *Config, d string) { c.MemoryBudget = spillBudget; c.SpillDir = filepath.Join(d, "spill2") }},

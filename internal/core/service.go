@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"hitlist6/internal/apd"
-	"hitlist6/internal/fleet"
 	"hitlist6/internal/gfw"
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -75,17 +74,6 @@ type Config struct {
 	// package default). A throughput knob only; outputs do not depend on
 	// it.
 	ScanBatchSize int
-
-	// FleetWorkers, when > 1, runs the main scan as a fleet of that many
-	// scanner nodes (internal/fleet) instead of the single in-process
-	// scanner, seeding each scan's shard assignment with the previous
-	// scan's per-shard timing. Records, snapshots, and digests are
-	// bit-identical for any value — a deployment/wall-clock knob only.
-	FleetWorkers int
-
-	// FleetFaultHook injects worker failures into fleet-backed scans
-	// (tests and recovery drills). Ignored unless FleetWorkers > 1.
-	FleetFaultHook fleet.FaultHook
 
 	// TGAFeed, when set, closes the paper's Section 6 loop inside the
 	// pipeline: after each scan the feed streams candidate addresses
@@ -268,11 +256,6 @@ type Service struct {
 	detector *apd.Detector
 	feeds    []*sources.Feed
 	block    *ip6.PrefixSet
-
-	// fleet is non-nil when FleetWorkers > 1: the main scan runs across
-	// it instead of scanner (which still serves APD and TGA probing).
-	fleet     *fleet.Coordinator
-	lastFleet fleet.Result
 
 	scanIndex int
 
@@ -542,13 +525,6 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		s.everResp[i] = s.newCumulativeSet()
 	}
 	s.detector = apd.NewDetector(s.scanner, apd.DefaultConfig())
-	if cfg.FleetWorkers > 1 {
-		s.fleet = fleet.New(net, fleet.Config{
-			Workers:   cfg.FleetWorkers,
-			Scan:      scfg,
-			FaultHook: cfg.FleetFaultHook,
-		})
-	}
 	return s
 }
 
@@ -595,10 +571,6 @@ func (s *Service) Scanner() *scan.Scanner { return s.scanner }
 
 // AliasedPrefixes returns the current aliased prefix set.
 func (s *Service) AliasedPrefixes() *ip6.PrefixSet { return s.aliased }
-
-// LastFleet returns the most recent fleet-backed scan's per-worker
-// result (zero value when FleetWorkers <= 1 or before the first scan).
-func (s *Service) LastFleet() fleet.Result { return s.lastFleet }
 
 // Records returns all per-scan records so far.
 func (s *Service) Records() []*ScanRecord { return s.records }
@@ -735,26 +707,10 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// cheap tail instead of serializing after it. Purely a wall-clock
 	// knob — per-shard outputs are dispatch-order-invariant.
 	digests := make([]*shardDigest, ip6.AddrShards)
-	var stats scan.Stats
-	if s.fleet != nil {
-		// Fleet-backed scan: the previous scan's shard timing seeds the
-		// LPT assignment (the fleet's generalization of the dispatch
-		// order below), and the digest sink receives the same batches a
-		// single-process run would deliver.
-		s.fleet.SetShardProfile(s.lastShardStats)
-		fres, err := s.fleet.Scan(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
-		if err != nil {
-			return nil, fmt.Errorf("core: scanning: %w", err)
-		}
-		s.lastFleet = fres
-		stats = fres.Stats
-	} else {
-		s.applyDispatchOrder()
-		var err error
-		stats, err = s.scanner.StreamFrom(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
-		if err != nil {
-			return nil, fmt.Errorf("core: scanning: %w", err)
-		}
+	s.applyDispatchOrder()
+	stats, err := s.scanner.StreamFrom(ctx, scan.ShardSlices(s.scanShards), s.cfg.Protocols, day, s.digestSink(digests))
+	if err != nil {
+		return nil, fmt.Errorf("core: scanning: %w", err)
 	}
 	rec.ProbesSent += stats.ProbesSent
 	rec.ShardStats = stats.PerShard
@@ -804,8 +760,10 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 }
 
 // applyDispatchOrder feeds the previous scan's per-shard wall-clock
-// profile back into the engine: slowest shards dispatch first. The first
-// scan (no profile yet) keeps canonical order.
+// profile back into the engine: slowest shards dispatch first. Probe
+// workers pull whole shards from one shared cursor, so this is greedy
+// longest-processing-time-first list scheduling. The first scan (no
+// profile yet) keeps canonical order.
 func (s *Service) applyDispatchOrder() {
 	if len(s.lastShardStats) != ip6.AddrShards {
 		return
@@ -849,9 +807,9 @@ const (
 
 // admitOne runs the admission chain — dedup, AS attribution, blocklist /
 // GFW / aliased filters, store insert — for one candidate in shard sh,
-// recording outcomes in c. It is the single copy both the serial and the
-// per-shard parallel ingest paths execute; only shard-owned and
-// counter state is written, so distinct shards may run it concurrently.
+// recording outcomes in c. It is the single copy every ingest path
+// executes (through admitRouted); only shard-owned and counter state is
+// written, so distinct shards may run it concurrently.
 func (s *Service) admitOne(sh int, a ip6.Addr, day int, c *ingestCounters) admitOutcome {
 	if !s.inputSeen.AddToShard(sh, a) {
 		return admitDup // already known (or already evicted once)
@@ -947,19 +905,12 @@ func drainSource(src scan.TargetSource, buf []ip6.Addr, fn func([]ip6.Addr)) err
 }
 
 // ingest dedups, filters and admits new input, pulling each feed's
-// source chunk-wise in feed-name-sorted order (the same deterministic
-// sequence the old collected-map path walked). Candidates are routed to
-// their canonical shards in one cheap pass, then every shard runs the
-// lookup-heavy part (dedup, AS attribution, blocklist / GFW / alias
-// filters, store insert) independently on the worker pool — an address
-// only ever touches its own shard, so the sweep is lock-free. The merge
-// walks shards in canonical order, and anything order-sensitive (the APD
-// /64 queue, per-feed attribution of same-day duplicates) is resolved by
-// the deterministic input sequence number, so results are bit-identical
-// to a serial pass for any worker count. Both paths pull every source to
-// exhaustion before admitting anything, so a source error aborts the
-// sweep with no state mutated — all-or-nothing for any worker count,
-// exactly like the old collect-then-admit pipeline.
+// source chunk-wise in feed-name-sorted order, which fixes the
+// deterministic input sequence. Candidates are routed to their canonical
+// shards as the sources drain, then admitRouted runs the lookup-heavy
+// part per shard and merges in canonical order. Every source is pulled
+// to exhaustion before anything is admitted, so a source error aborts
+// the sweep with no state mutated — all-or-nothing for any worker count.
 func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
 	sort.SliceStable(srcs, func(i, j int) bool { return srcs[i].Name < srcs[j].Name })
 
@@ -969,14 +920,6 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 	// resident footprint.
 	if s.cfg.CheckpointDir != "" {
 		return s.ingestJournaled(srcs, day, rec)
-	}
-
-	// A single worker skips the routing pass and per-shard scratch
-	// entirely: the serial sweep below visits the same deterministic
-	// sequence the parallel merge reconstructs, so both paths are
-	// bit-identical (the reference goldens cross-check them).
-	if s.workers <= 1 {
-		return s.ingestSerial(srcs, day, rec)
 	}
 
 	// Route phase: partition the day's candidates by shard, preserving
@@ -989,8 +932,7 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 				if !a.IsGlobalUnicast() {
 					continue
 				}
-				sh := ip6.ShardOf(a)
-				s.routeBuf[sh] = append(s.routeBuf[sh], routedInput{addr: a, feed: int32(fi), seq: seq})
+				s.route(routedInput{addr: a, feed: int32(fi), seq: seq})
 				seq++
 			}
 		})
@@ -1001,10 +943,29 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 			return err
 		}
 	}
+	s.admitRouted(srcs, day, rec)
+	return nil
+}
 
-	// Shard phase: per-shard filtering and admission. Shared reads
-	// (blocklist, AS table, aliased prefixes) are lookup-only here; all
-	// writes go to shard-owned state.
+// route appends one sequenced candidate to its shard's routeBuf slot.
+func (s *Service) route(e routedInput) {
+	sh := ip6.ShardOf(e.addr)
+	s.routeBuf[sh] = append(s.routeBuf[sh], e)
+}
+
+// admitRouted admits everything routed into routeBuf and empties it.
+// Every shard runs the shared admission chain (admitOne) independently
+// on the worker pool — an address only ever touches its own shard, so
+// the sweep is lock-free, and with one worker ParallelShards runs it
+// inline. Shared reads (blocklist, AS table, aliased prefixes) are
+// lookup-only; all writes go to shard-owned state. The merge walks
+// shards in canonical order, and anything order-sensitive (the APD /64
+// queue, per-feed attribution of same-day duplicates) is resolved by the
+// deterministic input sequence number, so results are bit-identical to
+// a serial pass for any worker count. Callers route in sequence order,
+// so each shard sees its candidates in the order a serial pass over the
+// whole stream would deliver them.
+func (s *Service) admitRouted(srcs []sources.NamedSource, day int, rec *ScanRecord) {
 	results := make([]*shardIngest, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		entries := s.routeBuf[sh]
@@ -1052,48 +1013,6 @@ func (s *Service) ingest(srcs []sources.NamedSource, day int, rec *ScanRecord) e
 	for _, e := range admitted {
 		s.trackSlash64(e.addr)
 	}
-	return nil
-}
-
-// ingestSerial is the one-goroutine ingest sweep: one pass over the
-// deterministic (feed-name-sorted) input sequence, running the same
-// admission chain (admitOne) inline with /64 tracking in input order.
-// Sources are pulled to exhaustion before any admission, so an erroring
-// feed mutates nothing — matching the parallel path's all-or-nothing
-// behavior (admitOne writes cannot be rolled back once made).
-func (s *Service) ingestSerial(srcs []sources.NamedSource, day int, rec *ScanRecord) error {
-	buf := make([]ip6.Addr, ingestChunk)
-	collected := make([][]ip6.Addr, len(srcs))
-	for fi, fs := range srcs {
-		var addrs []ip6.Addr
-		err := drainSource(fs.Src, buf, func(seg []ip6.Addr) {
-			addrs = append(addrs, seg...)
-		})
-		if err != nil {
-			return err
-		}
-		collected[fi] = addrs
-	}
-
-	c := ingestCounters{perAS: make(map[int]*ASInput)}
-	for fi, fs := range srcs {
-		feed := fs.Name
-		for _, a := range collected[fi] {
-			if !a.IsGlobalUnicast() {
-				continue
-			}
-			outcome := s.admitOne(ip6.ShardOf(a), a, day, &c)
-			if outcome == admitDup {
-				continue
-			}
-			s.inputByFeed[feed]++
-			if outcome == admitAdmitted {
-				s.trackSlash64(a)
-			}
-		}
-	}
-	s.applyIngest(rec, &c)
-	return nil
 }
 
 // trackSlash64 queues a newly admitted address's /64 for alias detection

@@ -106,14 +106,6 @@ func NewWriter(out io.Writer) (*Writer, error) {
 	return &Writer{w: w, bw: bw}, nil
 }
 
-// NewBodyWriter creates a CSV writer that emits rows only, no header.
-// Fleet consumers write one body per shard and concatenate them in
-// canonical shard order behind a single header.
-func NewBodyWriter(out io.Writer) *Writer {
-	bw := bufio.NewWriter(out)
-	return &Writer{w: csv.NewWriter(bw), bw: bw}
-}
-
 // Write emits one result row. The Writer's scratch buffers are reused
 // across rows, so Write is not safe for concurrent use (it never was:
 // rows would interleave).
