@@ -285,7 +285,8 @@ func BenchmarkServeQPS(b *testing.B) {
 	}
 	var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
 	h := serve.NewHandle()
-	h.Publish(serve.NewSnapshot(100, ip6.FreezeSorted(members), perProto, nil, nil))
+	frozen, _, _ := ip6.FreezeDelta(members, nil)
+	h.Publish(serve.NewSnapshot(100, frozen, perProto, nil, nil))
 
 	// Query workload: alternate members and uniform-random misses.
 	queries := make([]ip6.Addr, 1024)
@@ -352,9 +353,9 @@ func BenchmarkServeQPS(b *testing.B) {
 // snapshot generation from a 2^17-member set when only a few shards
 // changed since the previous publication — the steady state of a stable
 // hitlist. The full sub-benchmark re-freezes all 64 shards every time;
-// the delta sub-benchmark uses copy-on-publish (FreezeSortedDelta),
-// re-freezing only the dirty shards and sharing the rest with the
-// previous generation.
+// the delta sub-benchmark uses copy-on-publish (FreezeDelta against the
+// previous generation), re-freezing only the dirty shards and sharing
+// the rest.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	const dirtyShards = 4 // churn confined to 4 of the 64 shards (<10% dirty)
 	r := rng.NewStream(42, "publish-bench")
@@ -383,14 +384,15 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
 				members.Add(a)
 			}
-			h.Publish(serve.NewSnapshot(100, ip6.FreezeSorted(members), perProto, nil, nil))
+			frozen, _, _ := ip6.FreezeDelta(members, nil)
+			h.Publish(serve.NewSnapshot(100, frozen, perProto, nil, nil))
 		}
 	})
 
 	b.Run("delta", func(b *testing.B) {
 		churn := fresh(b.N * dirtyShards)
 		h := serve.NewHandle()
-		prev := ip6.FreezeSorted(members)
+		prev, _, _ := ip6.FreezeDelta(members, nil)
 		refrozen, shared := 0, 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -398,7 +400,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
 				members.Add(a)
 			}
-			out, rf, sh := ip6.FreezeSortedDelta(members, prev)
+			out, rf, sh := ip6.FreezeDelta(members, prev)
 			refrozen += rf
 			shared += sh
 			h.Publish(serve.NewSnapshot(100, out, perProto, nil, nil))
@@ -436,11 +438,11 @@ func BenchmarkSeedView(b *testing.B) {
 	}
 
 	b.Run("steady", func(b *testing.B) {
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev, _, _ := ip6.FreezeDelta(members, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+			out, rf, _ := ip6.FreezeDelta(members, prev)
 			if rf != 0 {
 				b.Fatalf("steady round refroze %d shards", rf)
 			}
@@ -451,7 +453,7 @@ func BenchmarkSeedView(b *testing.B) {
 
 	b.Run("churn", func(b *testing.B) {
 		churn := fresh(b.N * dirtyShards)
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev, _, _ := ip6.FreezeDelta(members, nil)
 		refrozen := 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -459,7 +461,7 @@ func BenchmarkSeedView(b *testing.B) {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
 				members.Add(a)
 			}
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+			out, rf, _ := ip6.FreezeDelta(members, prev)
 			refrozen += rf
 			prev = out
 		}
@@ -512,13 +514,13 @@ func BenchmarkTGARound(b *testing.B) {
 	b.Run("steady", func(b *testing.B) {
 		members := seedSet()
 		feed := tga.CandidateFeed{Gen: dc.New(dc.DefaultConfig()), Budget: budget}
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev, _, _ := ip6.FreezeDelta(members, nil)
 		drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
 		cands := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+			out, rf, _ := ip6.FreezeDelta(members, prev)
 			if rf != 0 {
 				b.Fatalf("steady round refroze %d shards", rf)
 			}
@@ -541,7 +543,7 @@ func BenchmarkTGARound(b *testing.B) {
 				churn = append(churn, a)
 			}
 		}
-		prev, _, _ := ip6.FreezeSortedDelta(members, nil)
+		prev, _, _ := ip6.FreezeDelta(members, nil)
 		drain(b, feed, tga.NewSeedView(prev)) // prime: pay the one-time model build
 		cands, refrozen := 0, 0
 		b.ReportAllocs()
@@ -550,7 +552,7 @@ func BenchmarkTGARound(b *testing.B) {
 			for _, a := range churn[i*dirtyShards : (i+1)*dirtyShards] {
 				members.Add(a)
 			}
-			out, rf, _ := ip6.FreezeSortedDelta(members, prev)
+			out, rf, _ := ip6.FreezeDelta(members, prev)
 			refrozen += rf
 			prev = out
 			cands += drain(b, feed, tga.NewSeedView(out))

@@ -221,8 +221,7 @@ func main() {
 	// scratch file; die routes error exits through it so a failed scan
 	// never leaves multi-GB run files in the user's spill directory
 	// (os.Exit skips defers).
-	var responders ip6.SpillableSet
-	var spillSet *ip6.SpillSet
+	var responders *ip6.ShardedSet
 	cleanup := func() {}
 	if *spillDir != "" {
 		budget := int64(*memBudget) << 20 / ip6.AddrBytes / ip6.AddrShards
@@ -232,7 +231,6 @@ func main() {
 			os.Exit(1)
 		}
 		cleanup = func() { ss.Close() }
-		spillSet = ss
 		responders = ss
 	} else if *distinct {
 		responders = ip6.NewShardedSet()
@@ -316,8 +314,8 @@ func main() {
 				die("%v\n", err)
 			}
 		}
-		if spillSet != nil {
-			if err := spillSet.Compact(); err != nil {
+		if responders != nil {
+			if err := responders.Compact(); err != nil {
 				die("compacting spill set: %v\n", err)
 			}
 		}
@@ -346,9 +344,9 @@ func main() {
 			// fan-in near 1, so membership probes stay one fence lookup
 			// instead of degrading with every frozen run. Safe here: the
 			// mutex serializes all AddToShard calls with the compactor.
-			if spillSet != nil {
+			if responders != nil {
 				if batches++; batches%1024 == 0 {
-					if err := spillSet.Compact(); err != nil {
+					if err := responders.Compact(); err != nil {
 						return err
 					}
 				}
@@ -370,15 +368,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "probes=%d responses=%d successes=%d batches=%d est-duration=%.1fs\n",
 		stats.ProbesSent, stats.Responses, stats.Successes, stats.Batches, stats.EstimatedSeconds)
 	if responders != nil {
-		if spillSet != nil {
-			if err := spillSet.Err(); err != nil {
-				die("spill set: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "distinct-responsive=%d spilled-runs=%d spilled-bytes=%d\n",
-				spillSet.Len(), spillSet.FrozenRuns(), spillSet.SpilledBytes())
-		} else {
-			fmt.Fprintf(os.Stderr, "distinct-responsive=%d\n", responders.Len())
+		if err := responders.Err(); err != nil {
+			die("spill set: %v\n", err)
 		}
+		fmt.Fprintf(os.Stderr, "distinct-responsive=%d", responders.Len())
+		if *spillDir != "" {
+			fmt.Fprintf(os.Stderr, " spilled-runs=%d spilled-bytes=%d", responders.FrozenRuns(), responders.SpilledBytes())
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 	printShardSummary(os.Stderr, stats.PerShard, *shardStats)
 	// -serve attach mode: freeze the responder set into a snapshot and
@@ -391,17 +388,10 @@ func main() {
 		if err != nil {
 			die("listening for -serve: %v\n", err)
 		}
-		var shards [ip6.AddrShards][]ip6.Addr
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			responders.WalkShard(sh, func(a ip6.Addr) bool {
-				shards[sh] = append(shards[sh], a)
-				return true
-			})
-			ip6.SortAddrs(shards[sh])
-		}
+		frozen, _, _ := ip6.FreezeDelta(responders, nil)
 		h := serve.NewHandle()
 		var perProto [netmodel.NumProtocols]*ip6.SortedShardSet
-		h.Publish(serve.NewSnapshot(*day, ip6.SortedFromShards(shards), perProto, nil, nil))
+		h.Publish(serve.NewSnapshot(*day, frozen, perProto, nil, nil))
 		responder := serve.NewDNSResponder(h, *serveZone)
 		for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 			go func() {

@@ -3,8 +3,8 @@ package core
 // Checkpoint/restore: a crash-consistent on-disk image of full service
 // state, so a multi-week timeline survives restarts. Service.Checkpoint
 // stages every piece of cumulative state into a ckpt.Writer — address
-// sets as .hl6 images streamed shard-sorted (resident sets sort a copy,
-// SpillSets merge their frozen runs without materializing anything),
+// sets as .hl6 images streamed through their ascending shard cursors
+// (a sorted copy of each delta merged with any frozen runs),
 // the active target store and APD history as small binary tables, and
 // counters/records/snapshots as JSON — then commits atomically. Resume
 // rebuilds a Service from the newest complete checkpoint; a timeline
@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -131,11 +132,11 @@ const defaultCheckpointFullEvery = 8
 // replacement (GFW-filter deployment swaps in a fresh drop set) makes
 // every shard dirty automatically.
 type ckptMark struct {
-	set    ip6.SpillableSet
+	set    *ip6.ShardedSet
 	epochs [ip6.AddrShards]uint64
 }
 
-func markOf(set ip6.SpillableSet) *ckptMark {
+func markOf(set *ip6.ShardedSet) *ckptMark {
 	m := &ckptMark{set: set}
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		m.epochs[sh] = set.ShardEpoch(sh)
@@ -145,7 +146,7 @@ func markOf(set ip6.SpillableSet) *ckptMark {
 
 // dirtyMask returns the bitmap of shards whose epoch moved since mark
 // (bit i = shard i dirty); with no usable mark every shard is dirty.
-func dirtyMask(mark *ckptMark, set ip6.SpillableSet) uint64 {
+func dirtyMask(mark *ckptMark, set *ip6.ShardedSet) uint64 {
 	if mark == nil || mark.set != set {
 		return ^uint64(0)
 	}
@@ -161,7 +162,7 @@ func dirtyMask(mark *ckptMark, set ip6.SpillableSet) uint64 {
 // ckptPayload is one delta-eligible address-set payload.
 type ckptPayload struct {
 	name string
-	set  ip6.SpillableSet
+	set  *ip6.ShardedSet
 }
 
 // addrSetPayloads lists the cumulative address sets a checkpoint stages
@@ -195,8 +196,7 @@ func (s *Service) addrSetPayloads() []ckptPayload {
 
 // Checkpoint writes a crash-consistent snapshot of the service's full
 // state to dir (atomically replacing any previous checkpoint there).
-// The service stays usable afterwards; SpillSet deltas are frozen to
-// disk as a side effect, which changes no membership observation.
+// The service stays usable afterwards; writing changes no set.
 //
 // Successive checkpoints into the same directory are written as deltas:
 // cumulative address-set payloads carry only the shards whose mutation
@@ -206,13 +206,11 @@ func (s *Service) addrSetPayloads() []ckptPayload {
 // without a usable parent — first ever, different directory, resumed
 // from a fallback) is a full rewrite that collapses the chain.
 func (s *Service) Checkpoint(dir string) (err error) {
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			return fmt.Errorf("core: checkpoint with failed spill state: %w", err)
-		}
-		if filepath.Clean(dir) == filepath.Clean(s.spill.dir) {
-			return fmt.Errorf("core: checkpoint dir %s collides with spill dir", dir)
-		}
+	if err := s.spill.err(); err != nil {
+		return fmt.Errorf("core: checkpoint with failed spill state: %w", err)
+	}
+	if s.spill.dir != "" && filepath.Clean(dir) == filepath.Clean(s.spill.dir) {
+		return fmt.Errorf("core: checkpoint dir %s collides with spill dir", dir)
 	}
 	fullEvery := s.cfg.CheckpointFullEvery
 	if fullEvery <= 0 {
@@ -468,14 +466,13 @@ func writeJSONFile(w *ckpt.Writer, name string, v any, count int64) error {
 }
 
 // writeAddrSet stages a sharded address set as a .hl6 image, streamed in
-// shard-sorted order: resident shards sort a copy, SpillSet shards merge
-// their frozen runs straight off disk. With dirtyOnly set the payload is
-// a delta: shards whose epoch matches the previous checkpoint's mark are
-// written with zero count and excluded from the file's DeltaShards
-// bitmap — readers resolve them through the parent chain. newMarks, when
-// non-nil, receives the set's current epochs under name so the next
-// checkpoint can diff against this one.
-func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet, dirtyOnly bool, newMarks map[string]*ckptMark) error {
+// shard-sorted order through the set's shard cursors. With dirtyOnly set
+// the payload is a delta: shards whose epoch matches the previous
+// checkpoint's mark are written with zero count and excluded from the
+// file's DeltaShards bitmap — readers resolve them through the parent
+// chain. newMarks, when non-nil, receives the set's current epochs under
+// name so the next checkpoint can diff against this one.
+func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set *ip6.ShardedSet, dirtyOnly bool, newMarks map[string]*ckptMark) error {
 	mask := ^uint64(0)
 	if dirtyOnly {
 		mask = dirtyMask(s.ckptMarks[name], set)
@@ -491,7 +488,7 @@ func (s *Service) writeAddrSet(w *ckpt.Writer, name string, set ip6.SpillableSet
 
 // writeAddrSetMasked streams the shards selected by mask; with delta set
 // the file records mask as its DeltaShards bitmap.
-func writeAddrSetMasked(w *ckpt.Writer, name string, set ip6.SpillableSet, mask uint64, delta bool) error {
+func writeAddrSetMasked(w *ckpt.Writer, name string, set *ip6.ShardedSet, mask uint64, delta bool) error {
 	f, err := w.Create(name)
 	if err != nil {
 		return err
@@ -505,27 +502,11 @@ func writeAddrSetMasked(w *ckpt.Writer, name string, set ip6.SpillableSet, mask 
 		counts[sh] = uint64(set.ShardLen(sh))
 		total += int64(counts[sh])
 	}
-	spill, _ := set.(*ip6.SpillSet)
-	var scratch []ip6.Addr
 	err = hlfile.WriteSharded(f, &counts, func(sh int, emit func(ip6.Addr) error) error {
 		if mask&(1<<uint(sh)) == 0 {
 			return nil
 		}
-		if spill != nil {
-			return spill.WalkShardSorted(sh, emit)
-		}
-		scratch = scratch[:0]
-		set.WalkShard(sh, func(a ip6.Addr) bool {
-			scratch = append(scratch, a)
-			return true
-		})
-		ip6.SortAddrs(scratch)
-		for _, a := range scratch {
-			if err := emit(a); err != nil {
-				return err
-			}
-		}
-		return nil
+		return set.ShardCursor(sh).Drain(emit)
 	})
 	if err != nil {
 		return fmt.Errorf("core: writing %s: %w", name, err)
@@ -621,11 +602,9 @@ func Resume(dir string, cfg Config, net *netmodel.Network, feeds []*sources.Feed
 	}
 
 	s := NewService(cfg, net, feeds, blocklist)
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: resume spill state: %w", err)
-		}
+	if err := s.spill.err(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("core: resume spill state: %w", err)
 	}
 	if err := checkConfig(configState(s.cfg), st); err != nil {
 		s.Close()
@@ -731,11 +710,9 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	}
 	if st.GFWDeployed {
 		s.gfwDeployed = true
-		drop := s.newCumulativeSet()
-		if s.spill != nil {
-			if err := s.spill.err(); err != nil {
-				return fmt.Errorf("core: resume spill state: %w", err)
-			}
+		drop := s.spill.newCumulative()
+		if err := s.spill.err(); err != nil {
+			return fmt.Errorf("core: resume spill state: %w", err)
 		}
 		if err := loadAddrSet(snap, ckptGFWDropFile, drop); err != nil {
 			return err
@@ -787,10 +764,8 @@ func (s *Service) restoreFrom(snap *ckpt.Snapshot, st *ckptState) error {
 	for _, p := range seen {
 		s.seen64[p] = struct{}{}
 	}
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			return fmt.Errorf("core: resume spill state: %w", err)
-		}
+	if err := s.spill.err(); err != nil {
+		return fmt.Errorf("core: resume spill state: %w", err)
 	}
 	return nil
 }
@@ -941,7 +916,7 @@ func (s *Service) readAPDHistory(snap *ckpt.Snapshot) error {
 // each shard through the delta chain: the newest level carrying the
 // shard holds its current content (a delta writes a shard exactly when
 // it changed). Single-level checkpoints degenerate to one reader.
-func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
+func loadAddrSet(snap *ckpt.Snapshot, name string, set *ip6.ShardedSet) error {
 	if !snap.HasInChain(name) {
 		return fmt.Errorf("%w: %s missing from manifest", ckpt.ErrCorrupt, name)
 	}
@@ -951,48 +926,27 @@ func loadAddrSet(snap *ckpt.Snapshot, name string, set ip6.SpillableSet) error {
 			r.Close()
 		}
 	}()
-	shardCursor := func(sh int) (func() (ip6.Addr, bool, error), error) {
+	for sh := 0; sh < ip6.AddrShards; sh++ {
 		lvl := snap.FindShard(name, sh)
 		if lvl == nil {
-			return nil, fmt.Errorf("%w: %s shard %d unresolved in delta chain", ckpt.ErrCorrupt, name, sh)
+			return fmt.Errorf("%w: %s shard %d unresolved in delta chain", ckpt.ErrCorrupt, name, sh)
 		}
 		rdr, ok := readers[lvl.Dir]
 		if !ok {
 			var err error
 			rdr, err = hlfile.Open(lvl.Path(name))
 			if err != nil {
-				return nil, fmt.Errorf("core: opening %s: %w", lvl.Path(name), err)
+				return fmt.Errorf("core: opening %s: %w", lvl.Path(name), err)
 			}
 			readers[lvl.Dir] = rdr
 		}
-		return rdr.ShardCursor(sh), nil
-	}
-	if spill, ok := set.(*ip6.SpillSet); ok {
-		for sh := 0; sh < ip6.AddrShards; sh++ {
-			cur, err := shardCursor(sh)
-			if err != nil {
-				return err
+		// The CRC proves only that the bytes are unchanged since they
+		// were written; the import checks the sorted-shard contract.
+		if err := set.ImportShardSorted(sh, rdr.ShardCursor(sh)); err != nil {
+			if errors.Is(err, ip6.ErrMalformedImport) {
+				return fmt.Errorf("%w: %s: %w", ckpt.ErrCorrupt, name, err)
 			}
-			if err := spill.ImportShardSorted(sh, cur); err != nil {
-				return fmt.Errorf("core: loading %s: %w", name, err)
-			}
-		}
-		return nil
-	}
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		cur, err := shardCursor(sh)
-		if err != nil {
-			return err
-		}
-		for {
-			a, ok, err := cur()
-			if err != nil {
-				return fmt.Errorf("core: loading %s: %w", name, err)
-			}
-			if !ok {
-				break
-			}
-			set.AddToShard(sh, a)
+			return fmt.Errorf("core: loading %s: %w", name, err)
 		}
 	}
 	return nil

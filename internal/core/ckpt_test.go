@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -262,5 +265,85 @@ func TestCheckpointRejectsSpillDirCollision(t *testing.T) {
 	runDays(t, s, []int{0})
 	if err := s.Checkpoint(dir); err == nil {
 		t.Fatal("checkpoint into the spill dir succeeded; want refusal")
+	}
+}
+
+// TestResumeRefusesMalformedSetPayload: a .hl6 payload whose bytes match
+// the manifest CRC but break the sorted-shard contract (here: two shards
+// trade their first addresses, so each holds another shard's address)
+// must make Resume refuse with ckpt.ErrCorrupt, with and without a
+// memory budget — the CRC proves only that bytes are unchanged since
+// they were written.
+func TestResumeRefusesMalformedSetPayload(t *testing.T) {
+	for _, budget := range []int64{0, spillBudget} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			ckdir := filepath.Join(t.TempDir(), "ckpt")
+			cfg := DefaultConfig(1)
+			cfg.MemoryBudget = budget
+			n, feeds := tinyWorld(t)
+			s := NewService(cfg, n, feeds, nil)
+			runDays(t, s, weekly(0, 28))
+			if err := s.Checkpoint(ckdir); err != nil { // one full checkpoint
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			swapShardHeads(t, ckdir, ckptInputSeenFile)
+
+			n2, feeds2 := tinyWorld(t)
+			_, err := Resume(ckdir, cfg, n2, feeds2, nil)
+			if !errors.Is(err, ckpt.ErrCorrupt) || !errors.Is(err, ip6.ErrMalformedImport) {
+				t.Fatalf("resume with a wrong-shard address: err = %v, want ErrCorrupt from the import check", err)
+			}
+		})
+	}
+}
+
+// swapShardHeads swaps the first addresses of the first two non-empty
+// shards in the .hl6 payload name under dir, then rewrites the
+// manifest's CRC so only the content contract is broken.
+func swapShardHeads(t *testing.T, dir, name string) {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 16 + 8*ip6.AddrShards
+	var heads []int
+	off := header
+	for sh := 0; sh < ip6.AddrShards && len(heads) < 2; sh++ {
+		count := int(binary.LittleEndian.Uint64(b[16+8*sh:]))
+		if count > 0 {
+			heads = append(heads, off)
+		}
+		off += count * ip6.AddrBytes
+	}
+	if len(heads) < 2 {
+		t.Fatalf("%s: fewer than two non-empty shards", name)
+	}
+	var tmp [ip6.AddrBytes]byte
+	copy(tmp[:], b[heads[0]:])
+	copy(b[heads[0]:heads[0]+ip6.AddrBytes], b[heads[1]:])
+	copy(b[heads[1]:], tmp[:])
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Files {
+		if m.Files[i].Name == name {
+			m.Files[i].CRC = fmt.Sprintf("%016x", crc64.Checksum(b, crc64.MakeTable(crc64.ECMA)))
+		}
+	}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckpt.ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -265,10 +265,9 @@ type Service struct {
 	workers int
 
 	// Cumulative input accounting. The history-sized sets (inputSeen,
-	// gfwInputDrop, everResp*, everRespAny) are used through
-	// ip6.SpillableSet: resident ShardedSets by default, disk-backed
-	// SpillSets under Config.MemoryBudget.
-	inputSeen    ip6.SpillableSet
+	// gfwInputDrop, everResp*, everRespAny) are ShardedSets built by
+	// spill: unbounded by default, budgeted under Config.MemoryBudget.
+	inputSeen    *ip6.ShardedSet
 	perASInput   map[int]*ASInput
 	inputTotal   int
 	blockedTotal int
@@ -276,11 +275,11 @@ type Service struct {
 	aliasedTotal int
 	evictedTotal int
 	gfwDeployed  bool
-	gfwInputDrop ip6.SpillableSet // the cumulative "134 M" filter once deployed
-	unresponsive ip6.Set          // evicted addresses (if retained)
+	gfwInputDrop *ip6.ShardedSet // the cumulative "134 M" filter once deployed
+	unresponsive ip6.Set         // evicted addresses (if retained)
 
-	// spill is non-nil when MemoryBudget is set: the scratch directory
-	// and the disk-backed sets to compact, error-check and close.
+	// spill builds the history-sized sets under MemoryBudget and keeps
+	// them to compact, error-check and close.
 	spill *spillState
 
 	// active is the sharded target store: per-address scan-window state,
@@ -295,8 +294,8 @@ type Service struct {
 	pendingAPD64 []ip6.Prefix // newly seen /64s queued for APD
 	seen64       map[ip6.Prefix]struct{}
 	tracker      *gfw.Tracker
-	everResp     [netmodel.NumProtocols]ip6.SpillableSet
-	everRespAny  ip6.SpillableSet
+	everResp     [netmodel.NumProtocols]*ip6.ShardedSet
+	everRespAny  *ip6.ShardedSet
 	prevRespAny  *ip6.ShardedSet // last scan's clean responders: scan-sized, stays resident
 	lastClean    map[netmodel.Protocol]*ip6.ShardedSet
 	inputByFeed  map[string]int
@@ -368,14 +367,15 @@ type ASInput struct {
 	GFW     int
 }
 
-// spillState carries the external-memory context of a budgeted service:
-// scratch directory, per-set/per-shard budget, and every disk-backed set
-// for compaction, error checks and Close.
+// spillState carries the memory-budget context of the history-sized
+// sets: scratch directory, per-shard budget (0 = unbounded, fully
+// resident) and every cumulative set, for compaction, error checks and
+// Close — all no-ops on unbounded sets, so every set is treated alike.
 type spillState struct {
 	dir         string
 	ownsDir     bool
 	shardBudget int
-	sets        []*ip6.SpillSet
+	sets        []*ip6.ShardedSet
 	initErr     error
 }
 
@@ -384,15 +384,25 @@ type spillState struct {
 // dedup set and the GFW drop list.
 const spillSets = netmodel.NumProtocols + 3
 
-// newSet returns a fresh disk-backed set sharing the spill state's
-// budget, recording (and re-reporting) the first creation error.
-func (sp *spillState) newSet() *ip6.SpillSet {
-	set, err := ip6.NewSpillSet(sp.dir, sp.shardBudget)
+// newSet returns an empty set under the per-shard budget.
+func (sp *spillState) newSet() (*ip6.ShardedSet, error) {
+	if sp.shardBudget == 0 {
+		return ip6.NewShardedSet(), nil
+	}
+	return ip6.NewSpillSet(sp.dir, sp.shardBudget)
+}
+
+// newCumulative returns a fresh history-sized set and keeps it for
+// compaction, error checks and Close. A creation failure is recorded
+// (RunScan surfaces it before any scan runs) and falls back to an
+// unbounded set so the service object stays usable.
+func (sp *spillState) newCumulative() *ip6.ShardedSet {
+	set, err := sp.newSet()
 	if err != nil {
 		if sp.initErr == nil {
 			sp.initErr = err
 		}
-		return nil
+		set = ip6.NewShardedSet()
 	}
 	sp.sets = append(sp.sets, set)
 	return set
@@ -438,17 +448,18 @@ func (sp *spillState) close() error {
 	return first
 }
 
-// newSpillState resolves Config.MemoryBudget/SpillDir into a spill
-// context, or nil when the service runs fully resident.
+// newSpillState resolves Config.MemoryBudget/SpillDir into the budget
+// context; without a budget every set is unbounded and no directory is
+// made.
 func newSpillState(cfg Config) *spillState {
-	if cfg.MemoryBudget <= 0 {
-		return nil
-	}
 	sp := &spillState{}
-	// Even split: budget bytes over the sharing sets and their shards.
-	// NewSpillSet clamps to ≥ 1 resident address per shard, so even a
-	// pathological budget stays functional (it just spills constantly).
-	sp.shardBudget = int(cfg.MemoryBudget / ip6.AddrBytes / spillSets / ip6.AddrShards)
+	if cfg.MemoryBudget <= 0 {
+		return sp
+	}
+	// Even split: budget bytes over the sharing sets and their shards,
+	// at least one resident address per shard, so even a pathological
+	// budget stays functional (it just spills constantly).
+	sp.shardBudget = max(1, int(cfg.MemoryBudget/ip6.AddrBytes/spillSets/ip6.AddrShards))
 	if cfg.SpillDir != "" {
 		sp.dir = cfg.SpillDir
 		if err := os.MkdirAll(sp.dir, 0o755); err != nil {
@@ -515,49 +526,28 @@ func NewService(cfg Config, net *netmodel.Network, feeds []*sources.Feed, blockl
 		snapQueue:    append([]int(nil), cfg.SnapshotDays...),
 		queryHandle:  serve.NewHandle(),
 	}
-	s.inputSeen = s.newCumulativeSet()
+	s.inputSeen = s.spill.newCumulative()
 	// gfwInputDrop is only read once the filter deploys, and deployment
 	// replaces it wholesale — an empty resident placeholder until then
 	// (the budget split still reserves its post-deployment share).
 	s.gfwInputDrop = ip6.NewShardedSet()
-	s.everRespAny = s.newCumulativeSet()
+	s.everRespAny = s.spill.newCumulative()
 	for i := range s.everResp {
-		s.everResp[i] = s.newCumulativeSet()
+		s.everResp[i] = s.spill.newCumulative()
 	}
 	s.detector = apd.NewDetector(s.scanner, apd.DefaultConfig())
 	return s
 }
 
-// newCumulativeSet picks the resident or disk-backed implementation for
-// one history-sized set.
-func (s *Service) newCumulativeSet() ip6.SpillableSet {
-	if s.spill != nil {
-		if set := s.spill.newSet(); set != nil {
-			return set
-		}
-		// Creation failed; fall back resident so the service object stays
-		// usable — RunScan surfaces spill.initErr before any scan runs.
-	}
-	return ip6.NewShardedSet()
-}
-
 // Close releases the spill scratch files (and the private spill
-// directory, when the service created one). Harmless on a resident
-// service.
-func (s *Service) Close() error {
-	if s.spill == nil {
-		return nil
-	}
-	return s.spill.close()
-}
+// directory, when the service created one). Harmless on a service
+// without a memory budget.
+func (s *Service) Close() error { return s.spill.close() }
 
 // SpilledRuns reports how many sorted runs the cumulative sets have
-// frozen to disk so far — 0 on a resident service, and the "did the
+// frozen to disk so far — 0 without a memory budget, and the "did the
 // budget actually bite" signal for tests and operators.
 func (s *Service) SpilledRuns() int64 {
-	if s.spill == nil {
-		return 0
-	}
 	var n int64
 	for _, set := range s.spill.sets {
 		n += set.FrozenRuns()
@@ -659,10 +649,8 @@ func (s *Service) Funnel() Funnel {
 
 // RunScan executes one full pipeline iteration at the given day.
 func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			return nil, fmt.Errorf("core: spill state: %w", err)
-		}
+	if err := s.spill.err(); err != nil {
+		return nil, fmt.Errorf("core: spill state: %w", err)
 	}
 	rec := &ScanRecord{Index: s.scanIndex, Day: day}
 
@@ -719,10 +707,8 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// Digest finalization is a merge point for the spilled sets: fold
 	// each shard's frozen runs into one so membership probes stay one
 	// fence lookup per shard, and surface any disk error now.
-	if s.spill != nil {
-		if err := s.spill.compact(); err != nil {
-			return nil, fmt.Errorf("core: compacting spilled sets: %w", err)
-		}
+	if err := s.spill.compact(); err != nil {
+		return nil, fmt.Errorf("core: compacting spilled sets: %w", err)
 	}
 
 	// 6b. TGA candidate round: generate → probe → feed back, streamed
@@ -739,10 +725,8 @@ func (s *Service) RunScan(ctx context.Context, day int) (*ScanRecord, error) {
 	// Any disk error the sweeps hit (spill writes degrade softly and
 	// record a sticky error) fails the scan rather than silently running
 	// with a lossy membership view.
-	if s.spill != nil {
-		if err := s.spill.err(); err != nil {
-			return nil, fmt.Errorf("core: spill state: %w", err)
-		}
+	if err := s.spill.err(); err != nil {
+		return nil, fmt.Errorf("core: spill state: %w", err)
 	}
 	s.records = append(s.records, rec)
 	s.scanIndex++
@@ -1034,14 +1018,11 @@ func (s *Service) trackSlash64(a ip6.Addr) {
 func (s *Service) deployGFWFilter(rec *ScanRecord) {
 	s.gfwDeployed = true
 	drop := s.tracker.InjectedOnlySharded()
-	// Under a memory budget the cumulative drop list moves into a
-	// disk-backed set inside the same per-shard sweep that purges the
-	// active window, so the resident tracker-built copy dies with this
-	// call instead of living for the rest of the run.
-	var spillDrop *ip6.SpillSet
-	if s.spill != nil {
-		spillDrop = s.spill.newSet()
-	}
+	// The cumulative drop list moves into a history-sized set (disk-backed
+	// under a memory budget) inside the same per-shard sweep that purges
+	// the active window, so the tracker-built copy dies with this call
+	// instead of living for the rest of the run.
+	kept := s.spill.newCumulative()
 	dropped := make([]shardPurge, ip6.AddrShards)
 	ip6.ParallelShards(s.workers, func(sh int) {
 		d := &dropped[sh]
@@ -1056,15 +1037,9 @@ func (s *Service) deployGFWFilter(rec *ScanRecord) {
 			}
 			return true
 		})
-		if spillDrop != nil {
-			spillDrop.AddAllToShard(sh, drop.Shard(sh))
-		}
+		kept.AddAllToShard(sh, drop.Shard(sh))
 	})
-	if spillDrop != nil {
-		s.gfwInputDrop = spillDrop
-	} else {
-		s.gfwInputDrop = drop
-	}
+	s.gfwInputDrop = kept
 	for sh := range dropped {
 		d := &dropped[sh]
 		rec.GFWFilteredInput += d.count
@@ -1402,7 +1377,7 @@ func (s *Service) finalizeDigest(digests []*shardDigest, day int, rec *ScanRecor
 // Publication is copy-on-publish incremental: hitlists are highly stable
 // between consecutive scans, so each set's freeze shares the previous
 // generation's frozen per-shard slices and re-sorts only shards whose
-// mutation epoch advanced (ip6.FreezeSortedDelta). Shared slices are
+// mutation epoch advanced (ip6.FreezeDelta). Shared slices are
 // immutable on both sides, so old and new snapshots stay independently
 // queryable. After a restore the previous generation is gone and the
 // first publish degrades to a full freeze.
@@ -1419,7 +1394,7 @@ func (s *Service) publishServeSnapshot(day int) {
 	prev := s.queryHandle.Current()
 	refrozen, shared := 0, 0
 	freeze := func(set *ip6.ShardedSet, prevIdx *ip6.SortedShardSet) *ip6.SortedShardSet {
-		out, r, sh := ip6.FreezeSortedDelta(set, prevIdx)
+		out, r, sh := ip6.FreezeDelta(set, prevIdx)
 		refrozen += r
 		shared += sh
 		return out
@@ -1444,11 +1419,11 @@ func (s *Service) publishServeSnapshot(day int) {
 	s.queryHandle.NotePublish(refrozen, shared, time.Since(start))
 }
 
-// compactingSeen wraps a round-local spill set as a scan.AddSet that
-// compacts itself every compactEvery inserts (compact errors are sticky
-// on the set and surface from the round's Err check).
+// compactingSeen wraps a round-local set as a scan.AddSet that compacts
+// itself every compactEvery inserts (compact errors are sticky on the
+// set and surface from the round's Err check).
 type compactingSeen struct {
-	set *ip6.SpillSet
+	set *ip6.ShardedSet
 	n   int
 }
 
@@ -1501,23 +1476,17 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 	// Candidate dedup tracks this round's emissions; under a memory
 	// budget that tracking set spills too, so a hitlist-scale candidate
 	// stream never accumulates in RAM. The cross-round filter is the
-	// (possibly disk-backed) cumulative inputSeen either way.
-	var seen scan.AddSet = ip6.NewSet(0)
-	var roundSpill *ip6.SpillSet
-	if s.spill != nil {
-		set, err := ip6.NewSpillSet(s.spill.dir, s.spill.shardBudget)
-		if err != nil {
-			return fmt.Errorf("core: TGA dedup spill set: %w", err)
-		}
-		defer set.Close()
-		roundSpill = set
-		// Periodic compaction keeps the round set's per-shard run fan-in
-		// near 1 — without it a long candidate stream would probe every
-		// frozen run per Add. Safe: the dedup filter runs on the single
-		// puller goroutine, so no per-shard sweep is ever active here.
-		seen = &compactingSeen{set: set}
+	// cumulative inputSeen. Periodic compaction keeps the round set's
+	// per-shard run fan-in near 1 — without it a long candidate stream
+	// would probe every frozen run per Add. Safe: the dedup filter runs
+	// on the single puller goroutine, so no per-shard sweep is ever
+	// active here.
+	seen, err := s.spill.newSet()
+	if err != nil {
+		return fmt.Errorf("core: TGA dedup spill set: %w", err)
 	}
-	counted := &countSource{src: scan.DedupWith(s.cfg.TGAFeed.Candidates(day, seeds), s.inputSeen.Has, seen)}
+	defer seen.Close()
+	counted := &countSource{src: scan.DedupWith(s.cfg.TGAFeed.Candidates(day, seeds), s.inputSeen.Has, &compactingSeen{set: seen})}
 	resp, stats, err := s.scanner.StreamResponsiveFrom(ctx, counted, s.cfg.Protocols, day)
 	if err != nil {
 		return fmt.Errorf("core: TGA candidate scan: %w", err)
@@ -1526,60 +1495,39 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 	// (candidates probed twice) — fail the scan like every other spill
 	// error instead of letting outputs silently diverge from the
 	// budget-less run.
-	if roundSpill != nil {
-		if err := roundSpill.Err(); err != nil {
-			return fmt.Errorf("core: TGA dedup spill set: %w", err)
-		}
+	if err := seen.Err(); err != nil {
+		return fmt.Errorf("core: TGA dedup spill set: %w", err)
 	}
 	rec.ProbesSent += stats.ProbesSent
 	rec.TGACandidates = counted.n
 
-	// The responder union is sharded — and, under a memory budget,
-	// disk-backed like every other history-sized set — instead of a flat
-	// resident set; feedback streams it in globally sorted order without
-	// materializing a slice.
-	var union ip6.SpillableSet
-	var unionSpill *ip6.SpillSet
-	if s.spill != nil {
-		set, err := ip6.NewSpillSet(s.spill.dir, s.spill.shardBudget)
-		if err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
-		defer set.Close()
-		unionSpill = set
-		union = set
-	} else {
-		union = ip6.NewShardedSet()
+	// The responder union is a sharded set under the same budget as
+	// every other history-sized set; feedback streams it in globally
+	// sorted order without materializing a slice.
+	union, err := s.spill.newSet()
+	if err != nil {
+		return fmt.Errorf("core: TGA union spill set: %w", err)
 	}
+	defer union.Close()
 	for _, p := range s.cfg.Protocols {
-		set := resp[p]
 		for sh := 0; sh < ip6.AddrShards; sh++ {
-			for a := range set.Shard(sh) {
-				union.AddToShard(sh, a)
-			}
+			union.AddAllToShard(sh, resp[p].Shard(sh))
 		}
 	}
 	rec.TGAResponsive = union.Len()
-	if unionSpill != nil {
-		if err := unionSpill.Err(); err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
+	if err := union.Err(); err != nil {
+		return fmt.Errorf("core: TGA union spill set: %w", err)
 	}
 	if union.Len() == 0 {
 		return nil
 	}
-	src, err := sortedUnionSource(union)
-	if err != nil {
-		return fmt.Errorf("core: TGA feedback source: %w", err)
-	}
+	src := &cursorSource{next: union.Cursor()}
 	feedback := []sources.NamedSource{{Name: s.cfg.TGAFeed.Name(), Src: src}}
 	if err := s.ingest(feedback, day, rec); err != nil {
 		return err
 	}
-	if unionSpill != nil {
-		if err := unionSpill.Err(); err != nil {
-			return fmt.Errorf("core: TGA union spill set: %w", err)
-		}
+	if err := union.Err(); err != nil {
+		return fmt.Errorf("core: TGA union spill set: %w", err)
 	}
 	return nil
 }
@@ -1592,7 +1540,7 @@ func (s *Service) runTGA(ctx context.Context, day int, rec *ScanRecord) error {
 // the cumulative seed slice is never materialized at all. It returns the
 // view plus the number of shards re-frozen.
 func (s *Service) tgaSeedView() (*tga.SeedView, int) {
-	frozen, refrozen, _ := ip6.FreezeSortedSetDelta(s.everRespAny, s.tgaFrozen)
+	frozen, refrozen, _ := ip6.FreezeDelta(s.everRespAny, s.tgaFrozen)
 	s.tgaFrozen = frozen
 	s.tgaView = tga.NewSeedView(frozen)
 	return s.tgaView, refrozen

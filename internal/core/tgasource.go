@@ -2,10 +2,10 @@ package core
 
 // TGA feedback streaming: the round's responder union is a sharded (and
 // possibly disk-backed) set, but ingest consumes one globally ordered
-// stream — the order the former materialized union.Sorted() slice fixed,
-// which seq numbers and the APD candidate queue depend on. sortedUnionSource
-// reproduces exactly that order without materializing anything: one
-// ascending cursor per shard, interleaved by an address-keyed min-heap.
+// stream — ascending address order, which seq numbers and the APD
+// candidate queue depend on. The set's whole-set ascending cursor yields
+// exactly that order without materializing anything; cursorSource
+// adapts it to scan.TargetSource.
 
 import (
 	"io"
@@ -13,117 +13,35 @@ import (
 	"hitlist6/internal/ip6"
 )
 
-// addrCursor pulls one shard's members in ascending order; ok=false ends
-// the stream.
-type addrCursor func() (ip6.Addr, bool, error)
-
-type unionEntry struct {
-	head ip6.Addr
-	next addrCursor
-}
-
-// unionSource is the scan.TargetSource over the merged shard cursors.
-type unionSource struct {
-	heap []unionEntry
+// cursorSource is the scan.TargetSource over an ascending cursor —
+// byte-identical to scan.SliceSource over the sorted materialization.
+type cursorSource struct {
+	next ip6.Cursor
 	err  error // deferred cursor error, surfaced on the next pull
 }
 
-// sortedUnionSource streams u's members in ascending address order —
-// byte-identical to scan.SliceSource over a sorted materialization of u.
-// The set must not be mutated while the source is being consumed.
-func sortedUnionSource(u ip6.SpillableSet) (*unionSource, error) {
-	s := &unionSource{}
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if u.ShardLen(sh) == 0 {
-			continue
-		}
-		cur, err := shardSortedCursor(u, sh)
-		if err != nil {
-			return nil, err
-		}
-		a, ok, err := cur()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			s.heap = append(s.heap, unionEntry{head: a, next: cur})
-		}
-	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	return s, nil
-}
-
-// shardSortedCursor returns shard sh's ascending cursor: the spill set's
-// run-merging cursor when the union is disk-backed, otherwise a sort of
-// the resident shard (scan-sized — one shard of one round's responders).
-func shardSortedCursor(u ip6.SpillableSet, sh int) (addrCursor, error) {
-	if sp, ok := u.(*ip6.SpillSet); ok {
-		return sp.ShardSortedCursor(sh)
-	}
-	members := make([]ip6.Addr, 0, u.ShardLen(sh))
-	u.WalkShard(sh, func(a ip6.Addr) bool {
-		members = append(members, a)
-		return true
-	})
-	ip6.SortAddrs(members)
-	i := 0
-	return func() (ip6.Addr, bool, error) {
-		if i >= len(members) {
-			return ip6.Addr{}, false, nil
-		}
-		a := members[i]
-		i++
-		return a, true, nil
-	}, nil
-}
-
-func (s *unionSource) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s.heap) && s.heap[l].head.Less(s.heap[min].head) {
-			min = l
-		}
-		if r < len(s.heap) && s.heap[r].head.Less(s.heap[min].head) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
-		i = min
-	}
-}
-
 // Next implements scan.TargetSource.
-func (s *unionSource) Next(buf []ip6.Addr) (int, error) {
+func (s *cursorSource) Next(buf []ip6.Addr) (int, error) {
 	if s.err != nil {
 		return 0, s.err
 	}
 	n := 0
-	for n < len(buf) && len(s.heap) > 0 {
-		e := &s.heap[0]
-		buf[n] = e.head
-		n++
-		a, ok, err := e.next()
+	for n < len(buf) {
+		a, ok, err := s.next()
 		if err != nil {
 			// Deliver what was already merged; the error surfaces on the
 			// next pull so no address is lost or reordered.
 			s.err = err
+			if n == 0 {
+				return 0, err
+			}
 			return n, nil
 		}
-		if ok {
-			e.head = a
-		} else {
-			last := len(s.heap) - 1
-			s.heap[0] = s.heap[last]
-			s.heap = s.heap[:last]
+		if !ok {
+			break
 		}
-		if len(s.heap) > 0 {
-			s.siftDown(0)
-		}
+		buf[n] = a
+		n++
 	}
 	if n == 0 {
 		return 0, io.EOF

@@ -273,7 +273,7 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 			ev.Responsive[p] = respSh[p].Merge()
 		}
 		ev.Any = anySh.Merge()
-		ev.AnySorted = ip6.FreezeSorted(anySh)
+		ev.AnySorted, _, _ = ip6.FreezeDelta(anySh, nil)
 		res.UnionAny.AddAll(ev.Any)
 		res.Sources = append(res.Sources, ev)
 	}

@@ -252,17 +252,14 @@ func (t *Tracker) InjectedSeenHas(a ip6.Addr) bool { return t.injectedSeen.Has(a
 // materializing a merged copy.
 func (t *Tracker) InjectedSeenLen() int { return t.injectedSeen.Len() }
 
-// FreezeInjectedSeen returns an independent frozen sorted copy of the
-// injection-evidence set — the point-lookup index serve snapshots carry.
-// The tracker keeps accumulating evidence afterwards; the copy does not
-// change.
-func (t *Tracker) FreezeInjectedSeen() *ip6.SortedShardSet { return ip6.FreezeSorted(t.injectedSeen) }
-
-// FreezeInjectedSeenDelta is FreezeInjectedSeen sharing unchanged shards
-// with prev, a set previously frozen from this tracker (nil for a full
-// freeze). Returns the frozen set plus the shards re-frozen and shared.
+// FreezeInjectedSeenDelta returns an independent frozen sorted copy of
+// the injection-evidence set — the point-lookup index serve snapshots
+// carry — sharing unchanged shards with prev, a set previously frozen
+// from this tracker (nil for a full freeze). The tracker keeps
+// accumulating evidence afterwards; the copy does not change. Returns
+// the frozen set plus the shards re-frozen and shared.
 func (t *Tracker) FreezeInjectedSeenDelta(prev *ip6.SortedShardSet) (out *ip6.SortedShardSet, refrozen, shared int) {
-	return ip6.FreezeSortedDelta(t.injectedSeen, prev)
+	return ip6.FreezeDelta(t.injectedSeen, prev)
 }
 
 // Stats summarizes the tracker.

@@ -157,8 +157,8 @@ func (r *Reader) SortedSet() (*ip6.SortedShardSet, error) {
 // yields the next address, with ok=false at end of shard. Reads go
 // through bounded chunks, so a cursor holds O(chunk) memory regardless
 // of shard size — the checkpoint-restore path feeds these straight into
-// resident sets or SpillSet.ImportShardSorted.
-func (r *Reader) ShardCursor(sh int) func() (ip6.Addr, bool, error) {
+// ip6.ShardedSet.ImportShardSorted.
+func (r *Reader) ShardCursor(sh int) ip6.Cursor {
 	idx := r.starts[sh]
 	left := r.counts[sh]
 	buf := make([]ip6.Addr, 0, 4096)

@@ -117,22 +117,20 @@ func TestFrozenPrefixMapFullSpace(t *testing.T) {
 	}
 }
 
-// TestSortedShardSet pins FreezeSorted against the hash-set reference.
+// TestSortedShardSet pins a full FreezeDelta against the hash-set
+// reference.
 func TestSortedShardSet(t *testing.T) {
 	r := rng.NewStream(5, "sorted-shards")
-	mk := func(n int, overlapWith *ShardedSet, overlapEvery int) (*ShardedSet, Set) {
+	mk := func(n int, overlapWith Set, overlapEvery int) (*ShardedSet, Set) {
 		sh := NewShardedSet()
 		flat := NewSet(n)
 		i := 0
-		if overlapWith != nil {
-			overlapWith.Walk(func(a Addr) bool {
-				if i%overlapEvery == 0 {
-					sh.Add(a)
-					flat.Add(a)
-				}
-				i++
-				return true
-			})
+		for a := range overlapWith {
+			if i%overlapEvery == 0 {
+				sh.Add(a)
+				flat.Add(a)
+			}
+			i++
 		}
 		for j := 0; j < n; j++ {
 			a := AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>32, r.Uint64())
@@ -142,9 +140,9 @@ func TestSortedShardSet(t *testing.T) {
 		return sh, flat
 	}
 	shA, flatA := mk(1000, nil, 0)
-	shB, flatB := mk(700, shA, 3)
+	shB, flatB := mk(700, flatA, 3)
 
-	sa, sb := FreezeSorted(shA), FreezeSorted(shB)
+	sa, sb := freezeFull(shA), freezeFull(shB)
 	if sa.Len() != flatA.Len() || sb.Len() != flatB.Len() {
 		t.Fatalf("Len mismatch: %d/%d vs %d/%d", sa.Len(), sb.Len(), flatA.Len(), flatB.Len())
 	}

@@ -1,9 +1,6 @@
 package ip6
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Set is an unordered set of IPv6 addresses.
 type Set map[Addr]struct{}
@@ -135,7 +132,7 @@ func (s Set) Sorted() []Addr {
 	for a := range s {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	SortAddrs(out)
 	return out
 }
 

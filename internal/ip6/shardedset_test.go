@@ -113,30 +113,6 @@ func TestShardedSetConcurrentPerShardWriters(t *testing.T) {
 	}
 }
 
-func TestShardedSetCloneAndWalk(t *testing.T) {
-	s := NewShardedSet()
-	addrs := shardedTestAddrs(64)
-	for _, a := range addrs {
-		s.Add(a)
-	}
-	c := s.Clone()
-	extra := AddrFromUint64s(0x2001_0db8_ffff_0000, 1)
-	c.Add(extra)
-	if s.Has(extra) {
-		t.Error("clone shares storage with original")
-	}
-	n := 0
-	s.Walk(func(Addr) bool { n++; return true })
-	if n != len(addrs) {
-		t.Errorf("walk visited %d", n)
-	}
-	n = 0
-	s.Walk(func(Addr) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early-stop walk visited %d", n)
-	}
-}
-
 func TestShardedSetSetShardAndAddAll(t *testing.T) {
 	s := NewShardedSet()
 	addrs := shardedTestAddrs(128)

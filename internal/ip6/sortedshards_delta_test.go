@@ -6,8 +6,14 @@ import (
 	"hitlist6/internal/rng"
 )
 
+// freezeFull is FreezeDelta with no previous generation.
+func freezeFull(s *ShardedSet) *SortedShardSet {
+	out, _, _ := FreezeDelta(s, nil)
+	return out
+}
+
 // sameBacking reports whether two non-empty shard slices share a backing
-// array (the copy-on-publish sharing FreezeSortedDelta promises).
+// array (the copy-on-publish sharing FreezeDelta promises).
 func sameBacking(a, b []Addr) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
@@ -32,11 +38,11 @@ func requireEqualFrozen(t *testing.T, got, want *SortedShardSet) {
 	}
 }
 
-// TestFreezeSortedDelta covers the sharing contract: unchanged shards are
+// TestFreezeDelta covers the sharing contract: unchanged shards are
 // pointer-shared with the previous generation, mutated shards are
 // re-frozen, and the result is always content-identical to a full
-// FreezeSorted.
-func TestFreezeSortedDelta(t *testing.T) {
+// freeze.
+func TestFreezeDelta(t *testing.T) {
 	r := rng.NewStream(9, "freeze-delta")
 	s := NewShardedSet()
 	for i := 0; i < 4000; i++ {
@@ -47,15 +53,15 @@ func TestFreezeSortedDelta(t *testing.T) {
 			t.Fatalf("setup: shard %d empty, sharing check needs non-empty shards", sh)
 		}
 	}
-	gen0 := FreezeSorted(s)
+	gen0 := freezeFull(s)
 
 	// No mutation: every shard shared, none re-frozen, slices literally
 	// the same arrays.
-	gen1, refrozen, shared := FreezeSortedDelta(s, gen0)
+	gen1, refrozen, shared := FreezeDelta(s, gen0)
 	if refrozen != 0 || shared != AddrShards {
 		t.Fatalf("clean delta: refrozen=%d shared=%d, want 0/%d", refrozen, shared, AddrShards)
 	}
-	requireEqualFrozen(t, gen1, FreezeSorted(s))
+	requireEqualFrozen(t, gen1, freezeFull(s))
 	for sh := 0; sh < AddrShards; sh++ {
 		if !sameBacking(gen1.Shard(sh), gen0.Shard(sh)) {
 			t.Fatalf("clean delta: shard %d not pointer-shared", sh)
@@ -65,9 +71,9 @@ func TestFreezeSortedDelta(t *testing.T) {
 	// Re-adding an existing member is membership-invariant and must not
 	// dirty its shard.
 	var member Addr
-	s.Walk(func(a Addr) bool { member = a; return false })
+	s.WalkShard(0, func(a Addr) bool { member = a; return false })
 	s.Add(member)
-	gen2, refrozen, shared := FreezeSortedDelta(s, gen1)
+	gen2, refrozen, shared := FreezeDelta(s, gen1)
 	if refrozen != 0 || shared != AddrShards {
 		t.Fatalf("re-add delta: refrozen=%d shared=%d, want 0/%d", refrozen, shared, AddrShards)
 	}
@@ -85,11 +91,11 @@ func TestFreezeSortedDelta(t *testing.T) {
 			dirty[sh] = true
 		}
 	}
-	gen3, refrozen, shared := FreezeSortedDelta(s, gen1)
+	gen3, refrozen, shared := FreezeDelta(s, gen1)
 	if refrozen != 3 || shared != AddrShards-3 {
 		t.Fatalf("dirty delta: refrozen=%d shared=%d, want 3/%d", refrozen, shared, AddrShards-3)
 	}
-	requireEqualFrozen(t, gen3, FreezeSorted(s))
+	requireEqualFrozen(t, gen3, freezeFull(s))
 	for sh := 0; sh < AddrShards; sh++ {
 		if dirty[sh] == sameBacking(gen3.Shard(sh), gen1.Shard(sh)) {
 			t.Fatalf("shard %d: dirty=%v but sharing=%v", sh, dirty[sh], !dirty[sh])
@@ -100,13 +106,13 @@ func TestFreezeSortedDelta(t *testing.T) {
 	// to a full freeze.
 	for name, prev := range map[string]*SortedShardSet{
 		"nil":     nil,
-		"foreign": FreezeSorted(NewShardedSet()),
+		"foreign": freezeFull(NewShardedSet()),
 	} {
-		got, refrozen, shared := FreezeSortedDelta(s, prev)
+		got, refrozen, shared := FreezeDelta(s, prev)
 		if refrozen != AddrShards || shared != 0 {
 			t.Fatalf("%s prev: refrozen=%d shared=%d, want %d/0", name, refrozen, shared, AddrShards)
 		}
-		requireEqualFrozen(t, got, FreezeSorted(s))
+		requireEqualFrozen(t, got, freezeFull(s))
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"hitlist6/internal/rng"
 )
 
-// TestFreezeSortedSetDeltaSpill covers the generalized epoch-delta freeze
-// over the disk-backed SpillSet: unchanged shards pointer-share their
-// frozen span across generations, dirtied shards re-freeze, and every
-// generation is content-identical to a full freeze — the same contract
-// TestFreezeSortedDelta pins for the resident ShardedSet.
-func TestFreezeSortedSetDeltaSpill(t *testing.T) {
+// TestFreezeDeltaSpill covers the epoch-delta freeze over a budgeted
+// set: unchanged shards pointer-share their frozen span across
+// generations, dirtied shards re-freeze, and every generation is
+// content-identical to a full freeze — the same contract TestFreezeDelta
+// pins for the unbounded form.
+func TestFreezeDeltaSpill(t *testing.T) {
 	spill, err := NewSpillSet(t.TempDir(), 8) // tiny budget: everything spills
 	if err != nil {
 		t.Fatal(err)
@@ -27,11 +27,11 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 			t.Fatalf("setup: shard %d empty, sharing check needs non-empty shards", sh)
 		}
 	}
-	gen0 := FreezeSortedSet(spill)
-	requireEqualFrozen(t, gen0, FreezeSortedSet(spill))
+	gen0 := freezeFull(spill)
+	requireEqualFrozen(t, gen0, freezeFull(spill))
 
 	// No mutation: every shard shared.
-	gen1, refrozen, shared := FreezeSortedSetDelta(spill, gen0)
+	gen1, refrozen, shared := FreezeDelta(spill, gen0)
 	if refrozen != 0 || shared != AddrShards {
 		t.Fatalf("clean delta: refrozen=%d shared=%d, want 0/%d", refrozen, shared, AddrShards)
 	}
@@ -54,12 +54,12 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 			break
 		}
 	}
-	gen2, refrozen, shared := FreezeSortedSetDelta(spill, gen1)
+	gen2, refrozen, shared := FreezeDelta(spill, gen1)
 	if refrozen != len(dirtied) || shared != AddrShards-len(dirtied) {
 		t.Fatalf("dirty delta: refrozen=%d shared=%d, want %d/%d",
 			refrozen, shared, len(dirtied), AddrShards-len(dirtied))
 	}
-	requireEqualFrozen(t, gen2, FreezeSortedSet(spill))
+	requireEqualFrozen(t, gen2, freezeFull(spill))
 	for sh := 0; sh < AddrShards; sh++ {
 		if dirtied[sh] == sameBacking(gen2.Shard(sh), gen1.Shard(sh)) {
 			t.Fatalf("shard %d: dirty=%v but shared=%v", sh, dirtied[sh], !dirtied[sh])
@@ -69,16 +69,17 @@ func TestFreezeSortedSetDeltaSpill(t *testing.T) {
 	// A different previous source degrades to a full freeze.
 	other := NewShardedSet()
 	other.Add(MustParseAddr("2001:db8::1"))
-	gen3, refrozen, _ := FreezeSortedSetDelta(spill, FreezeSorted(other))
+	gen3, refrozen, _ := FreezeDelta(spill, freezeFull(other))
 	if refrozen != AddrShards {
 		t.Fatalf("cross-source delta: refrozen=%d, want full %d", refrozen, AddrShards)
 	}
 	requireEqualFrozen(t, gen3, gen2)
 }
 
-// TestShardSortedCursor pins the pull cursor against WalkShardSorted:
-// identical addresses in identical order, duplicate-free across runs,
-// clean end-of-stream.
+// TestShardSortedCursor pins the per-shard and whole-set cursors of a
+// budgeted set with several runs and a non-empty delta per shard:
+// ascending, duplicate-free, exactly the shard's members, clean
+// end-of-stream — and reading freezes nothing.
 func TestShardSortedCursor(t *testing.T) {
 	spill, err := NewSpillSet(t.TempDir(), 4) // several runs per shard
 	if err != nil {
@@ -90,29 +91,14 @@ func TestShardSortedCursor(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		spill.Add(AddrFromUint64s(0x2001_0db8_0000_0000|r.Uint64()>>32, r.Uint64()))
 	}
+	runs := spill.FrozenRuns()
+	var all []Addr
 	for sh := 0; sh < AddrShards; sh++ {
 		var want []Addr
-		if err := spill.WalkShardSorted(sh, func(a Addr) error {
-			want = append(want, a)
-			return nil
-		}); err != nil {
-			t.Fatalf("shard %d: walk: %v", sh, err)
-		}
-		cur, err := spill.ShardSortedCursor(sh)
-		if err != nil {
-			t.Fatalf("shard %d: %v", sh, err)
-		}
-		var got []Addr
-		for {
-			a, ok, err := cur()
-			if err != nil {
-				t.Fatalf("shard %d: cursor error: %v", sh, err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, a)
-		}
+		spill.WalkShard(sh, func(a Addr) bool { want = append(want, a); return true })
+		SortAddrs(want)
+		cur := spill.ShardCursor(sh)
+		got := drainCursor(t, cur)
 		if len(got) != len(want) {
 			t.Fatalf("shard %d: %d addrs, want %d", sh, len(got), len(want))
 		}
@@ -125,5 +111,29 @@ func TestShardSortedCursor(t *testing.T) {
 		if _, ok, _ := cur(); ok {
 			t.Fatalf("shard %d: cursor yielded past end", sh)
 		}
+		all = append(all, want...)
 	}
+	SortAddrs(all)
+	got := drainCursor(t, spill.Cursor())
+	if len(got) != len(all) {
+		t.Fatalf("whole-set cursor: %d addrs, want %d", len(got), len(all))
+	}
+	for i := range got {
+		if got[i] != all[i] {
+			t.Fatalf("whole-set cursor[%d]: %v, want %v", i, got[i], all[i])
+		}
+	}
+	if spill.FrozenRuns() != runs {
+		t.Fatalf("reading froze runs: %d → %d", runs, spill.FrozenRuns())
+	}
+}
+
+// drainCursor collects a cursor's addresses, failing on error.
+func drainCursor(t *testing.T, cur Cursor) []Addr {
+	t.Helper()
+	var out []Addr
+	if err := cur.Drain(func(a Addr) error { out = append(out, a); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -98,111 +98,6 @@ func TestRunFileWriteHasMerge(t *testing.T) {
 	}
 }
 
-// TestSpillSetMatchesShardedSet drives a SpillSet with a tiny budget and
-// a resident ShardedSet through the same operation sequence and checks
-// every observable view agrees.
-func TestSpillSetMatchesShardedSet(t *testing.T) {
-	spill, err := NewSpillSet(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spill.Close()
-	resident := NewShardedSet()
-
-	addrs := randAddrs(3, 4000, true)
-	for i, a := range addrs {
-		sh := ShardOf(a)
-		gotNew := spill.AddToShard(sh, a)
-		wantNew := resident.AddToShard(sh, a)
-		if gotNew != wantNew {
-			t.Fatalf("insert %d: spill new=%v resident new=%v", i, gotNew, wantNew)
-		}
-		if i%997 == 0 {
-			if err := spill.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Batch inserts through the AddAll path.
-	batch := SetOf(randAddrs(4, 300, false)...)
-	perShard := make([]Set, AddrShards)
-	for a := range batch {
-		sh := ShardOf(a)
-		if perShard[sh] == nil {
-			perShard[sh] = NewSet(0)
-		}
-		perShard[sh].Add(a)
-	}
-	for sh, set := range perShard {
-		if set == nil {
-			continue
-		}
-		spill.AddAllToShard(sh, set)
-		resident.AddAllToShard(sh, set)
-	}
-
-	if spill.FrozenRuns() == 0 {
-		t.Fatal("tiny budget froze no runs — spilling never happened")
-	}
-	if got, want := spill.Len(), resident.Len(); got != want {
-		t.Fatalf("Len: spill %d, resident %d", got, want)
-	}
-	for _, a := range addrs {
-		if !spill.Has(a) {
-			t.Fatalf("spill set lost %v", a)
-		}
-	}
-	for _, a := range randAddrs(5, 500, false) {
-		if spill.Has(a) != resident.Has(a) {
-			t.Fatalf("membership diverges for %v", a)
-		}
-	}
-
-	// Merge and per-shard walks agree exactly.
-	gotMerge, wantMerge := spill.Merge(), resident.Merge()
-	if len(gotMerge) != len(wantMerge) {
-		t.Fatalf("Merge: %d vs %d members", len(gotMerge), len(wantMerge))
-	}
-	for a := range wantMerge {
-		if !gotMerge.Has(a) {
-			t.Fatalf("Merge missing %v", a)
-		}
-	}
-	for sh := 0; sh < AddrShards; sh++ {
-		walked := NewSet(0)
-		spill.WalkShard(sh, func(a Addr) bool {
-			if ShardOf(a) != sh {
-				t.Fatalf("WalkShard(%d) yielded foreign addr %v", sh, a)
-			}
-			if !walked.Add(a) {
-				t.Fatalf("WalkShard(%d) yielded %v twice", sh, a)
-			}
-			return true
-		})
-		want := resident.Shard(sh)
-		if walked.Len() != want.Len() {
-			t.Fatalf("shard %d: walked %d, want %d", sh, walked.Len(), want.Len())
-		}
-	}
-
-	// Compaction folds runs down without changing any view.
-	lenBefore := spill.Len()
-	if err := spill.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if spill.Len() != lenBefore {
-		t.Fatalf("Compact changed Len %d → %d", lenBefore, spill.Len())
-	}
-	for _, a := range addrs[:512] {
-		if !spill.Has(a) {
-			t.Fatalf("Compact lost %v", a)
-		}
-	}
-	if err := spill.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpillSetCloseRemovesScratch(t *testing.T) {
 	dir := t.TempDir()
 	spill, err := NewSpillSet(dir, 1)

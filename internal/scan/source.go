@@ -308,9 +308,9 @@ func (f *filterSource) Close() error {
 
 // AddSet is the accumulator DedupWith tracks emitted addresses in: Add
 // reports whether the address was newly inserted. ip6.Set satisfies it
-// resident; ip6.SpillSet satisfies it with bounded memory, which is what
-// keeps hitlist-scale candidate streams deduplicable without holding the
-// emitted set in RAM.
+// resident; a budgeted ip6.ShardedSet satisfies it with bounded memory,
+// which is what keeps hitlist-scale candidate streams deduplicable
+// without holding the emitted set in RAM.
 type AddSet interface {
 	Add(a ip6.Addr) bool
 }

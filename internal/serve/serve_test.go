@@ -24,7 +24,8 @@ func sortedOf(addrs ...ip6.Addr) *ip6.SortedShardSet {
 	for _, a := range addrs {
 		s.Add(a)
 	}
-	return ip6.FreezeSorted(s)
+	out, _, _ := ip6.FreezeDelta(s, nil)
+	return out
 }
 
 // testSnapshot builds a small snapshot with one address per dimension.

@@ -40,7 +40,7 @@ func TestIncrementalModelMatchesScratch(t *testing.T) {
 		for _, a := range pool[r*len(pool)/rounds : (r+1)*len(pool)/rounds] {
 			set.Add(a)
 		}
-		frozen, _, shared := ip6.FreezeSortedDelta(set, prev)
+		frozen, _, shared := ip6.FreezeDelta(set, prev)
 		if r > 0 && shared == 0 {
 			t.Fatalf("round %d: delta freeze shared no shards", r)
 		}
