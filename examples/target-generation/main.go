@@ -3,9 +3,9 @@
 // and compare hit rates — the Section 6 workflow.
 //
 // Candidates stream straight from each generator into the scan engine
-// (tga.NewSource → Scanner.StreamResponsiveFrom): the candidate list is
-// never materialized, which is how the pipeline stays flat in memory at
-// paper scale (6Graph alone proposes 125.8 M addresses there).
+// (tga.NewViewSource → Scanner.StreamResponsiveFrom): the candidate list
+// is never materialized, which is how the pipeline stays flat in memory
+// at paper scale (6Graph alone proposes 125.8 M addresses there).
 //
 //	go run ./examples/target-generation
 package main
@@ -53,18 +53,19 @@ func main() {
 	scanner := scan.New(world.Net, cfg)
 	ctx := context.Background()
 
-	gens := []tga.Streamer{
+	gens := []tga.ViewStreamer{
 		sixgraph.New(sixgraph.DefaultConfig()),
 		sixtree.New(sixtree.DefaultConfig()),
 		dc.New(dc.DefaultConfig()),
 		sixgan.New(sixgan.DefaultConfig()),
 		sixveclm.New(sixveclm.DefaultConfig()),
 	}
+	view := tga.SeedViewOf(seeds)
 	fmt.Printf("%-8s %10s %12s %10s\n", "algo", "candidates", "responsive", "hit rate")
 	for _, g := range gens {
 		// Generate → probe without a candidate slice: the engine pulls
 		// the generator's stream shard by shard.
-		src := tga.NewSource(g, seeds, 40000)
+		src := tga.NewViewSource(g, view, 40000)
 		sets, _, err := scanner.StreamResponsiveFrom(ctx, src, []netmodel.Protocol{netmodel.ICMP}, day)
 		if err != nil {
 			log.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"hitlist6/internal/rng"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/serve"
+	"hitlist6/internal/tga"
 	"hitlist6/internal/tga/dc"
 	"hitlist6/internal/worldgen"
 	"hitlist6/internal/yarrp"
@@ -325,8 +326,7 @@ func Ablations(ctx context.Context, s *Suite, w io.Writer) error {
 		{MinClusterSize: 10, MaxGap: 256, MaxFill: 4096},
 		{MinClusterSize: 20, MaxGap: 64, MaxFill: 4096},
 	} {
-		g := dc.New(cfgRow)
-		cands := g.Generate(seeds, 200000)
+		cands := tga.Generate(dc.New(cfgRow), seeds, 200000)
 		sets, _, err := s.Svc.Scanner().ResponsiveSet(ctx, cands, []netmodel.Protocol{netmodel.ICMP}, worldgen.EndDay)
 		if err != nil {
 			return err

@@ -182,19 +182,22 @@ func (s *Suite) newSources(ctx context.Context) (*NewSourcesResult, error) {
 	ip6.SortAddrs(pool)
 	raws = append(raws, rawSource{name: "Unresponsive", addrs: pool, rescan: true})
 
-	// Target generation on the December 2021 responsive seeds.
+	// Target generation on the December 2021 responsive seeds. Each
+	// generator is built inside the loop so its model is garbage once its
+	// candidates are collected.
 	gens := []struct {
-		g      tga.Generator
+		mk     func() tga.ViewStreamer
 		budget int
 	}{
-		{sixgraph.New(sixgraph.DefaultConfig()), sc(125.8e6)},
-		{sixtree.New(sixtree.DefaultConfig()), sc(37.6e6)},
-		{sixgan.New(sixgan.DefaultConfig()), sc(3.3e6)},
-		{sixveclm.New(sixveclm.DefaultConfig()), sc(70.3e3)},
-		{dc.New(dc.DefaultConfig()), sc(5.3e6)},
+		{func() tga.ViewStreamer { return sixgraph.New(sixgraph.DefaultConfig()) }, sc(125.8e6)},
+		{func() tga.ViewStreamer { return sixtree.New(sixtree.DefaultConfig()) }, sc(37.6e6)},
+		{func() tga.ViewStreamer { return sixgan.New(sixgan.DefaultConfig()) }, sc(3.3e6)},
+		{func() tga.ViewStreamer { return sixveclm.New(sixveclm.DefaultConfig()) }, sc(70.3e3)},
+		{func() tga.ViewStreamer { return dc.New(dc.DefaultConfig()) }, sc(5.3e6)},
 	}
-	for _, g := range gens {
-		raws = append(raws, rawSource{name: g.g.Name(), addrs: g.g.Generate(seeds, g.budget)})
+	for _, tc := range gens {
+		g := tc.mk()
+		raws = append(raws, rawSource{name: g.Name(), addrs: tga.Generate(g, seeds, tc.budget)})
 	}
 
 	res := &NewSourcesResult{UnionAny: ip6.NewSet(0)}

@@ -39,10 +39,14 @@ type Cluster struct {
 // Span returns the total number of addresses the cluster covers.
 func (c Cluster) Span() uint64 { return c.Last.Lo() - c.First.Lo() + 1 }
 
-// Generator implements tga.Generator.
+// Generator is the incremental distance-clustering TGA: per-shard /64
+// group lists cached against the seed view's frozen spans, merged into
+// global groups and clusters only when some shard's span changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg      Config
+	spans    tga.SpanCache
+	perShard [ip6.AddrShards][]tga.Slash64Group
+	clusters []modelCluster
 }
 
 // New returns a distance-clustering generator.
@@ -59,7 +63,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "DC" }
 
 // modelCluster pairs a cluster with its seed run — a subslice of the
@@ -113,66 +117,23 @@ func FindClusters(seeds []ip6.Addr, cfg Config) []Cluster {
 	return out
 }
 
-// Fill generates the missing addresses inside a cluster's span, up to max.
-func Fill(c Cluster, have ip6.Set, max int) []ip6.Addr {
-	var out []ip6.Addr
-	hi := c.First.Hi()
-	for lo := c.First.Lo(); lo <= c.Last.Lo() && len(out) < max; lo++ {
-		a := ip6.AddrFromUint64s(hi, lo)
-		if !have.Has(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Model is the incremental distance-clustering model: per-shard /64
-// group lists cached against the seed view's frozen spans, merged into
-// global groups and clusters only when some shard's span changed.
-type Model struct {
-	cfg      Config
-	built    bool
-	spans    [ip6.AddrShards][]ip6.Addr
-	perShard [ip6.AddrShards][]tga.Slash64Group
-	clusters []modelCluster
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, regrouping only shards whose
+// update refreshes the model for the view, regrouping only shards whose
 // span changed since the previous call (dirty shards rebuild in
 // parallel; the cross-shard group merge and cluster scan are one linear
-// pass). It returns the number of shards rebuilt — 0 means the cached
-// clusters were provably current and nothing was touched.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
-		m.perShard[sh] = tga.GroupSortedBySlash64(span)
-		m.spans[sh] = span
+// pass). When no span changed the cached clusters are provably current
+// and nothing is touched.
+func (g *Generator) update(v *tga.SeedView) {
+	rebuilt := g.spans.Refresh(v, func(sh int, span []ip6.Addr) {
+		g.perShard[sh] = tga.GroupSortedBySlash64(span)
 	})
+	if !rebuilt {
+		return
+	}
 	lists := make([][]tga.Slash64Group, ip6.AddrShards)
 	for sh := range lists {
-		lists[sh] = m.perShard[sh]
+		lists[sh] = g.perShard[sh]
 	}
-	m.clusters = clustersOf(tga.MergeSlash64Groups(lists), m.cfg)
-	m.built = true
-	return n
+	g.clusters = clustersOf(tga.MergeSlash64Groups(lists), g.cfg)
 }
 
 // emit walks the clusters in order and yields the missing addresses
@@ -182,13 +143,13 @@ func (m *Model) Update(v *tga.SeedView) int {
 // it); cluster spans never overlap, so the inline seen-set only mirrors
 // the defensive dedup the former materialize-then-dedup pipeline ran,
 // keeping the emission byte-identical to it.
-func (m *Model) emit(budget int, yield func(ip6.Addr) bool) {
+func (g *Generator) emit(budget int, yield func(ip6.Addr) bool) {
 	seen := ip6.NewSet(0)
-	for _, mc := range m.clusters {
+	for _, mc := range g.clusters {
 		if budget <= 0 {
 			return
 		}
-		max := m.cfg.MaxFill
+		max := g.cfg.MaxFill
 		if max > budget {
 			max = budget
 		}
@@ -215,35 +176,14 @@ func (m *Model) emit(budget int, yield func(ip6.Addr) bool) {
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	m := NewModel(g.cfg)
-	m.Update(tga.SeedViewOf(seeds))
-	m.emit(budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: update the generator's
-// persistent model for shards the view dirtied, then stream from the
-// cached clusters.
+// EmitView implements tga.ViewStreamer: update the model for shards the
+// view dirtied, then stream from the cached clusters.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
 	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(budget, yield)
+	g.update(v)
+	g.emit(budget, yield)
 }
 
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

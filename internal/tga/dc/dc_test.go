@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/tga"
+	"hitlist6/internal/tga/tgatest"
 )
 
 func clusterSeeds(p ip6.Prefix, offsets ...uint64) []ip6.Addr {
@@ -61,7 +63,7 @@ func TestGenerateFillsGaps(t *testing.T) {
 	if g.Name() != "DC" {
 		t.Error("name")
 	}
-	out := g.Generate(seeds, 1000)
+	out := tga.Generate(g, seeds, 1000)
 	if len(out) != 81 {
 		t.Fatalf("generated %d, want 81", len(out))
 	}
@@ -75,12 +77,12 @@ func TestGenerateFillsGaps(t *testing.T) {
 		}
 	}
 	// Budget respected.
-	out = g.Generate(seeds, 5)
+	out = tga.Generate(g, seeds, 5)
 	if len(out) != 5 {
 		t.Errorf("budget: %d", len(out))
 	}
 	// No seeds → nothing.
-	if g.Generate(nil, 100) != nil {
+	if tga.Generate(g, nil, 100) != nil {
 		t.Error("no-seed generation")
 	}
 }
@@ -92,9 +94,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		offsets = append(offsets, i*7)
 	}
 	seeds := clusterSeeds(p, offsets...)
-	g := New(DefaultConfig())
-	a := g.Generate(seeds, 50)
-	b := g.Generate(seeds, 50)
+	a := tga.Generate(New(DefaultConfig()), seeds, 50)
+	b := tga.Generate(New(DefaultConfig()), seeds, 50)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic")
 	}
@@ -103,4 +104,10 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatal("order differs")
 		}
 	}
+}
+
+// TestIncrementalModelMatchesScratch pins the incremental model: one
+// generator fed growing epoch-delta views emits what a fresh one does.
+func TestIncrementalModelMatchesScratch(t *testing.T) {
+	tgatest.CheckIncrementalModel(t, func() tga.ViewStreamer { return New(DefaultConfig()) }, 400)
 }

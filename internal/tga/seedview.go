@@ -26,8 +26,8 @@ type SeedView struct {
 // NewSeedView wraps an already-frozen sorted shard set.
 func NewSeedView(set *ip6.SortedShardSet) *SeedView { return &SeedView{set: set} }
 
-// SeedViewOf materializes a view from a flat seed slice — the compat
-// shim the stateless Generate/Emit paths and the CLI use. Seeds are
+// SeedViewOf materializes a view from a flat seed slice — what
+// tga.Generate, the CLI and the examples use. Seeds are
 // partitioned by canonical shard, sorted, and deduplicated; the caller's
 // slice is not modified.
 func SeedViewOf(seeds []ip6.Addr) *SeedView {
@@ -107,8 +107,35 @@ func SameSpan(a, b []ip6.Addr) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// ModelWorkers is the per-shard parallelism the incremental models use
-// when rebuilding dirty-shard statistics (ip6.ParallelShards handles
-// workers <= 1 inline). Shard slots are disjoint, so parallel rebuilds
-// stay deterministic.
-func ModelWorkers() int { return runtime.GOMAXPROCS(0) }
+// SpanCache records the shard spans an incremental model was last built
+// from. The zero value has built nothing.
+type SpanCache struct {
+	built bool
+	spans [ip6.AddrShards][]ip6.Addr
+}
+
+// Refresh calls rebuild for every shard whose span in v is not the one
+// cached (SameSpan) — every shard on the first call — caches the new
+// spans, and reports whether any shard was rebuilt; false means the
+// model is provably current. Dirty shards rebuild in parallel
+// (ip6.ParallelShards, inline at GOMAXPROCS 1): rebuild must write only
+// its own shard's slot, which keeps parallel rebuilds deterministic.
+func (c *SpanCache) Refresh(v *SeedView, rebuild func(sh int, span []ip6.Addr)) bool {
+	var dirty [ip6.AddrShards]bool
+	changed := false
+	for sh := range dirty {
+		dirty[sh] = !c.built || !SameSpan(c.spans[sh], v.Shard(sh))
+		changed = changed || dirty[sh]
+	}
+	if !changed {
+		return false
+	}
+	ip6.ParallelShards(runtime.GOMAXPROCS(0), func(sh int) {
+		if dirty[sh] {
+			c.spans[sh] = v.Shard(sh)
+			rebuild(sh, c.spans[sh])
+		}
+	})
+	c.built = true
+	return true
+}

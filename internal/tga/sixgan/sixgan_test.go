@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/tga"
+	"hitlist6/internal/tga/tgatest"
 )
 
 func TestClassify(t *testing.T) {
@@ -41,7 +43,7 @@ func TestGenerate(t *testing.T) {
 		t.Error("name")
 	}
 	seeds := trainingSeeds()
-	out := g.Generate(seeds, 500)
+	out := tga.Generate(g, seeds, 500)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -72,8 +74,8 @@ func TestGenerate(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	seeds := trainingSeeds()
-	a := New(DefaultConfig()).Generate(seeds, 200)
-	b := New(DefaultConfig()).Generate(seeds, 200)
+	a := tga.Generate(New(DefaultConfig()), seeds, 200)
+	b := tga.Generate(New(DefaultConfig()), seeds, 200)
 	if len(a) != len(b) {
 		t.Fatal("length differs")
 	}
@@ -86,18 +88,24 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := New(DefaultConfig())
-	if g.Generate(nil, 100) != nil {
+	if tga.Generate(g, nil, 100) != nil {
 		t.Error("nil seeds")
 	}
-	if g.Generate(trainingSeeds(), 0) != nil {
+	if tga.Generate(g, trainingSeeds(), 0) != nil {
 		t.Error("zero budget")
 	}
 	// Tiny seed sets fall back to a single model.
-	out := g.Generate([]ip6.Addr{
+	out := tga.Generate(g, []ip6.Addr{
 		ip6.MustParseAddr("2001:db9::1"),
 		ip6.MustParseAddr("2001:db9::2"),
 	}, 50)
 	if len(out) == 0 {
 		t.Error("tiny seed set generated nothing")
 	}
+}
+
+// TestIncrementalModelMatchesScratch pins the incremental model: one
+// generator fed growing epoch-delta views emits what a fresh one does.
+func TestIncrementalModelMatchesScratch(t *testing.T) {
+	tgatest.CheckIncrementalModel(t, func() tga.ViewStreamer { return New(DefaultConfig()) }, 400)
 }

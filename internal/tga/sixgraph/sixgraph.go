@@ -40,10 +40,15 @@ type Pattern struct {
 // NumCandidatesLog16 returns the pattern volume as a power of 16.
 func (p Pattern) NumCandidatesLog16() int { return len(p.Wildcards) }
 
-// Generator implements tga.Generator.
+// Generator is the incremental 6Graph TGA: per-shard nibble counts
+// cached against the seed view's frozen spans, re-counted only for dirty
+// shards; entropy and the pattern mine rerun over the view walk when
+// anything changed.
 type Generator struct {
-	cfg   Config
-	model *Model
+	cfg      Config
+	spans    tga.SpanCache
+	counts   [ip6.AddrShards][32][16]int64
+	patterns []Pattern
 }
 
 // New returns a 6Graph generator.
@@ -57,7 +62,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6Graph" }
 
 // Mine extracts patterns from seeds. The graph's connected components are
@@ -189,63 +194,28 @@ func EnumerateEach(p Pattern, budget int, yield func(ip6.Addr) bool) int {
 	return n
 }
 
-// Model is the incremental 6Graph model: per-shard nibble counts cached
-// against the seed view's frozen spans, re-counted only for dirty shards;
-// entropy and the pattern mine rerun over the view walk when anything
-// changed.
-type Model struct {
-	cfg      Config
-	built    bool
-	spans    [ip6.AddrShards][]ip6.Addr
-	counts   [ip6.AddrShards][32][16]int64
-	patterns []Pattern
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update refreshes the model for the view, re-counting nibble statistics
-// only for shards whose span changed (in parallel). It returns the number
-// of dirty shards — 0 means the cached patterns were provably current.
-func (m *Model) Update(v *tga.SeedView) int {
-	var dirty [ip6.AddrShards]bool
-	n := 0
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		if m.built && tga.SameSpan(m.spans[sh], v.Shard(sh)) {
-			continue
-		}
-		dirty[sh] = true
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	ip6.ParallelShards(tga.ModelWorkers(), func(sh int) {
-		if !dirty[sh] {
-			return
-		}
-		span := v.Shard(sh)
+// update refreshes the model for the view, re-counting nibble statistics
+// only for shards whose span changed (in parallel). When no span changed
+// the cached patterns are provably current and nothing is touched.
+func (g *Generator) update(v *tga.SeedView) {
+	rebuilt := g.spans.Refresh(v, func(sh int, span []ip6.Addr) {
 		var c [32][16]int64
 		tga.NibbleCounts(span, &c)
-		m.counts[sh] = c
-		m.spans[sh] = span
+		g.counts[sh] = c
 	})
+	if !rebuilt {
+		return
+	}
 	var total [32][16]int64
-	for sh := range m.counts {
-		for i := range m.counts[sh] {
-			for val, c := range m.counts[sh][i] {
+	for sh := range g.counts {
+		for i := range g.counts[sh] {
+			for val, c := range g.counts[sh][i] {
 				total[i][val] += c
 			}
 		}
 	}
 	entropy := tga.EntropyFromCounts(&total, v.Len())
-	if v.Len() == 0 {
-		m.patterns = nil
-	} else {
-		m.patterns = minePatterns(v.Walk, entropy, m.cfg)
-	}
-	m.built = true
-	return n
+	g.patterns = minePatterns(v.Walk, entropy, g.cfg)
 }
 
 // emit enumerates the mined patterns in support order, yielding novel
@@ -253,10 +223,10 @@ func (m *Model) Update(v *tga.SeedView) int {
 // enumerated (pre-dedup) addresses, exactly as Generate always charged
 // it, so the emission is byte-identical to the former
 // materialize-then-dedup pipeline.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+func (g *Generator) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	seen := ip6.NewSet(0)
 	stopped := false
-	for _, p := range m.patterns {
+	for _, p := range g.patterns {
 		if budget <= 0 || stopped {
 			break
 		}
@@ -272,35 +242,14 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	}
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: refresh the persistent model for
-// shards the view dirtied, then enumerate the cached patterns.
+// EmitView implements tga.ViewStreamer: refresh the model for shards
+// the view dirtied, then enumerate the cached patterns.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
 	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
+	g.update(v)
+	g.emit(v, budget, yield)
 }
 
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

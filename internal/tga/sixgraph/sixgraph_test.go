@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hitlist6/internal/ip6"
+	"hitlist6/internal/tga"
+	"hitlist6/internal/tga/tgatest"
 )
 
 func patternSeeds() []ip6.Addr {
@@ -81,7 +83,7 @@ func TestGenerate(t *testing.T) {
 		t.Error("name")
 	}
 	seeds := patternSeeds()
-	out := g.Generate(seeds, 5000)
+	out := tga.Generate(g, seeds, 5000)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -100,7 +102,7 @@ func TestGenerate(t *testing.T) {
 		t.Errorf("pattern region share: %d/%d", inDense, len(out))
 	}
 	// Deterministic.
-	out2 := g.Generate(seeds, 5000)
+	out2 := tga.Generate(g, seeds, 5000)
 	if len(out) != len(out2) {
 		t.Fatal("non-deterministic")
 	}
@@ -116,8 +118,14 @@ func TestGenerateProducesMoreThanSupport(t *testing.T) {
 	// than seeds.
 	g := New(DefaultConfig())
 	seeds := patternSeeds()
-	out := g.Generate(seeds, 100000)
+	out := tga.Generate(g, seeds, 100000)
 	if len(out) < 5*len(seeds) {
 		t.Errorf("expansion factor too low: %d from %d seeds", len(out), len(seeds))
 	}
+}
+
+// TestIncrementalModelMatchesScratch pins the incremental model: one
+// generator fed growing epoch-delta views emits what a fresh one does.
+func TestIncrementalModelMatchesScratch(t *testing.T) {
+	tgatest.CheckIncrementalModel(t, func() tga.ViewStreamer { return New(DefaultConfig()) }, 400)
 }

@@ -79,10 +79,13 @@ func (n *node) bestSplit() int {
 // node's seeds.
 func (n *node) fixedDim(i int) bool { return bits.OnesCount16(n.mask[i]) == 1 }
 
-// Generator is the tga.Generator implementation.
+// Generator is the incremental 6Tree TGA: one space tree grown in place
+// as the seed view's shards dirty, with per-shard span identities
+// proving which shards changed.
 type Generator struct {
 	cfg   Config
-	model *Model
+	spans [ip6.AddrShards][]ip6.Addr
+	tree  *Tree // nil until the first emission
 }
 
 // New returns a 6Tree generator.
@@ -96,7 +99,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg}
 }
 
-// Name implements tga.Generator.
+// Name implements tga.ViewStreamer.
 func (g *Generator) Name() string { return "6Tree" }
 
 // Build constructs the space tree over the seeds. Leaf seed order is
@@ -230,37 +233,23 @@ func (t *Tree) leafList() []*node {
 // Leaves returns the number of leaf regions.
 func (t *Tree) Leaves() int { return len(t.leafList()) }
 
-// Model is the incremental 6Tree model: one space tree grown in place as
-// the seed view's shards dirty, with per-shard span identities proving
-// which shards changed.
-type Model struct {
-	cfg   Config
-	built bool
-	spans [ip6.AddrShards][]ip6.Addr
-	tree  *Tree
-}
-
-// NewModel returns an empty model; Update populates it.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Update grows the tree with the view's new seeds, touching only shards
-// whose span changed; it returns the number of dirty shards. The first
-// call (and the defensive fallback, should a span ever shrink) builds
+// update grows the tree with the view's new seeds, touching only shards
+// whose span changed. The first call, and any view whose span is not a
+// superset of the previous one (a shrunk or unrelated seed set), builds
 // from scratch.
-func (m *Model) Update(v *tga.SeedView) int {
-	if !m.built {
-		return m.rebuild(v)
+func (g *Generator) update(v *tga.SeedView) {
+	if g.tree == nil {
+		g.rebuild(v)
+		return
 	}
-	dirty := 0
 	var fresh [ip6.AddrShards][]ip6.Addr
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		span := v.Shard(sh)
-		if tga.SameSpan(m.spans[sh], span) {
+		if tga.SameSpan(g.spans[sh], span) {
 			continue
 		}
-		dirty++
 		// Grow-only diff: old must be a sorted subset of span.
-		old, added := m.spans[sh], fresh[sh]
+		old, added := g.spans[sh], fresh[sh]
 		i := 0
 		for _, a := range span {
 			if i < len(old) && old[i] == a {
@@ -270,70 +259,45 @@ func (m *Model) Update(v *tga.SeedView) int {
 			added = append(added, a)
 		}
 		if i != len(old) {
-			return m.rebuild(v) // shrank — not grow-only; start over
+			g.rebuild(v) // not grow-only; start over
+			return
 		}
 		fresh[sh] = added
 	}
-	if dirty == 0 {
-		return 0
-	}
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		for _, a := range fresh[sh] {
-			m.tree.insert(a, m.cfg)
+			g.tree.insert(a, g.cfg)
 		}
-		m.spans[sh] = v.Shard(sh)
+		g.spans[sh] = v.Shard(sh)
 	}
-	return dirty
 }
 
-func (m *Model) rebuild(v *tga.SeedView) int {
+func (g *Generator) rebuild(v *tga.SeedView) {
 	all := make([]ip6.Addr, 0, v.Len())
 	for sh := 0; sh < ip6.AddrShards; sh++ {
 		span := v.Shard(sh)
 		all = append(all, span...)
-		m.spans[sh] = span
+		g.spans[sh] = span
 	}
-	m.tree = Build(all, m.cfg)
-	m.built = true
-	return ip6.AddrShards
+	g.tree = Build(all, g.cfg)
 }
 
-// Generate implements tga.Generator: the materializing shim over Emit.
-func (g *Generator) Generate(seeds []ip6.Addr, budget int) []ip6.Addr {
-	return tga.Collect(g, seeds, budget)
-}
-
-// Emit implements tga.Streamer: the stateless shim — a throwaway model
-// over a materialized view, yielding exactly EmitView's stream.
-func (g *Generator) Emit(seeds []ip6.Addr, budget int, yield func(ip6.Addr) bool) {
-	if len(seeds) == 0 || budget <= 0 {
-		return
-	}
-	v := tga.SeedViewOf(seeds)
-	m := NewModel(g.cfg)
-	m.Update(v)
-	m.emit(v, budget, yield)
-}
-
-// EmitView implements tga.ViewStreamer: grow the persistent tree with
-// the view's dirty shards, then expand leaves in density order.
+// EmitView implements tga.ViewStreamer: grow the tree with the view's
+// dirty shards, then expand leaves in density order.
 func (g *Generator) EmitView(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 	if v.Len() == 0 || budget <= 0 {
 		return
 	}
-	if g.model == nil {
-		g.model = NewModel(g.cfg)
-	}
-	g.model.Update(v)
-	g.model.emit(v, budget, yield)
+	g.update(v)
+	g.emit(v, budget, yield)
 }
 
 // emit expands leaves in density order, yielding candidates as the
 // expansion walks them. A shared novelty check (seed-view membership
 // plus this round's emissions) makes the budget count genuinely new
 // addresses, never duplicates or seeds.
-func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
-	leaves := append([]*node(nil), m.tree.leafList()...)
+func (g *Generator) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
+	leaves := append([]*node(nil), g.tree.leafList()...)
 	sort.SliceStable(leaves, func(i, j int) bool {
 		return leafPriority(leaves[i]) > leafPriority(leaves[j])
 	})
@@ -348,7 +312,7 @@ func (m *Model) emit(v *tga.SeedView, budget int, yield func(ip6.Addr) bool) {
 		if len(leaf.seeds) < 2 {
 			continue
 		}
-		expandLeaf(leaf, m.cfg.MaxFreeDims, e)
+		expandLeaf(leaf, g.cfg.MaxFreeDims, e)
 	}
 }
 
@@ -437,5 +401,4 @@ func expandLeaf(n *node, maxDims int, e *emitter) {
 	}
 }
 
-// The generator is a full streaming TGA over both seed contracts.
 var _ tga.ViewStreamer = (*Generator)(nil)

@@ -5,6 +5,7 @@ import (
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/tga"
+	"hitlist6/internal/tga/tgatest"
 )
 
 // denseSeeds builds seeds across two /64s: one dense structured region and
@@ -48,7 +49,7 @@ func TestGenerateExpandsDenseRegion(t *testing.T) {
 	}
 	// A bounded budget exercises the density-priority ordering: the dense
 	// region must be expanded before the sparse one.
-	out := g.Generate(seeds, 300)
+	out := tga.Generate(g, seeds, 300)
 	if len(out) != 300 {
 		t.Fatalf("generated %d, want full budget of 300", len(out))
 	}
@@ -77,9 +78,8 @@ func TestGenerateExpandsDenseRegion(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	seeds := denseSeeds()
-	g := New(DefaultConfig())
-	a := g.Generate(seeds, 500)
-	b := g.Generate(seeds, 500)
+	a := tga.Generate(New(DefaultConfig()), seeds, 500)
+	b := tga.Generate(New(DefaultConfig()), seeds, 500)
 	if len(a) != len(b) {
 		t.Fatal("length differs")
 	}
@@ -92,14 +92,14 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := New(DefaultConfig())
-	if g.Generate(nil, 100) != nil {
+	if tga.Generate(g, nil, 100) != nil {
 		t.Error("nil seeds")
 	}
-	if g.Generate(denseSeeds(), 0) != nil {
+	if tga.Generate(g, denseSeeds(), 0) != nil {
 		t.Error("zero budget")
 	}
 	// A single seed has no free dims: nothing to generate.
-	out := g.Generate([]ip6.Addr{ip6.MustParseAddr("2001:db9::1")}, 10)
+	out := tga.Generate(g, []ip6.Addr{ip6.MustParseAddr("2001:db9::1")}, 10)
 	if len(out) != 0 {
 		t.Errorf("single seed generated %d", len(out))
 	}
@@ -107,9 +107,14 @@ func TestGenerateEdgeCases(t *testing.T) {
 
 func BenchmarkGenerate(b *testing.B) {
 	seeds := denseSeeds()
-	g := New(DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Generate(seeds, 1000)
+		tga.Generate(New(DefaultConfig()), seeds, 1000)
 	}
+}
+
+// TestIncrementalModelMatchesScratch pins the incremental model: one
+// generator fed growing epoch-delta views emits what a fresh one does.
+func TestIncrementalModelMatchesScratch(t *testing.T) {
+	tgatest.CheckIncrementalModel(t, func() tga.ViewStreamer { return New(DefaultConfig()) }, 400)
 }

@@ -5,6 +5,7 @@ import (
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/tga"
+	"hitlist6/internal/tga/tgatest"
 )
 
 func seeds() []ip6.Addr {
@@ -26,7 +27,7 @@ func TestGenerateStaysInSeedNetworks(t *testing.T) {
 		t.Error("name")
 	}
 	s := seeds()
-	out := g.Generate(s, 300)
+	out := tga.Generate(g, s, 300)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -49,8 +50,8 @@ func TestGenerateStaysInSeedNetworks(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	s := seeds()
-	a := New(DefaultConfig()).Generate(s, 100)
-	b := New(DefaultConfig()).Generate(s, 100)
+	a := tga.Generate(New(DefaultConfig()), s, 100)
+	b := tga.Generate(New(DefaultConfig()), s, 100)
 	if len(a) != len(b) {
 		t.Fatal("length differs")
 	}
@@ -71,7 +72,7 @@ func TestModelLearnsIIDStructure(t *testing.T) {
 		s = append(s, p.NthAddr(i*16+1))
 	}
 	g := New(DefaultConfig())
-	out := g.Generate(s, 200)
+	out := tga.Generate(g, s, 200)
 	if len(out) == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -95,10 +96,16 @@ func TestModelLearnsIIDStructure(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := New(DefaultConfig())
-	if g.Generate(nil, 100) != nil {
+	if tga.Generate(g, nil, 100) != nil {
 		t.Error("nil seeds")
 	}
-	if g.Generate(seeds(), 0) != nil {
+	if tga.Generate(g, seeds(), 0) != nil {
 		t.Error("zero budget")
 	}
+}
+
+// TestIncrementalModelMatchesScratch pins the incremental model: one
+// generator fed growing epoch-delta views emits what a fresh one does.
+func TestIncrementalModelMatchesScratch(t *testing.T) {
+	tgatest.CheckIncrementalModel(t, func() tga.ViewStreamer { return New(DefaultConfig()) }, 120)
 }

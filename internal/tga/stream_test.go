@@ -47,29 +47,34 @@ func streamSeeds() []ip6.Addr {
 	return tga.DedupAgainstSeeds(seeds, nil)
 }
 
-func streamers() []tga.Streamer {
-	return []tga.Streamer{
-		sixtree.New(sixtree.DefaultConfig()),
-		sixgraph.New(sixgraph.DefaultConfig()),
-		sixgan.New(sixgan.DefaultConfig()),
-		sixveclm.New(sixveclm.DefaultConfig()),
-		dc.New(dc.DefaultConfig()),
-	}
+// tgas lists every generator: mk returns a fresh instance, and budget
+// is the emission budget the reuse test runs it at.
+var tgas = []struct {
+	mk     func() tga.ViewStreamer
+	budget int
+}{
+	{func() tga.ViewStreamer { return sixtree.New(sixtree.DefaultConfig()) }, 400},
+	{func() tga.ViewStreamer { return sixgraph.New(sixgraph.DefaultConfig()) }, 400},
+	{func() tga.ViewStreamer { return sixgan.New(sixgan.DefaultConfig()) }, 400},
+	{func() tga.ViewStreamer { return sixveclm.New(sixveclm.DefaultConfig()) }, 120},
+	{func() tga.ViewStreamer { return dc.New(dc.DefaultConfig()) }, 400},
 }
 
-// TestEmitMatchesGenerate pins the compat shim: Generate is exactly the
-// collected Emit stream, and pulling through tga.NewSource reproduces it
-// for any pull buffer size.
+// TestEmitMatchesGenerate pins the pull adapter: pulling through
+// tga.NewViewSource reproduces tga.Generate's materialized emission for
+// any pull buffer size, and Emitted counts it.
 func TestEmitMatchesGenerate(t *testing.T) {
 	seeds := streamSeeds()
+	view := tga.SeedViewOf(seeds)
 	const budget = 3000
-	for _, g := range streamers() {
-		gen := g.Generate(seeds, budget)
+	for _, tc := range tgas {
+		g := tc.mk()
+		gen := tga.Generate(g, seeds, budget)
 		if len(gen) == 0 {
 			t.Fatalf("%s: no candidates generated", g.Name())
 		}
 		for _, bufSize := range []int{1, 7, 513} {
-			src := tga.NewSource(g, seeds, budget)
+			src := tga.NewViewSource(g, view, budget)
 			var pulled []ip6.Addr
 			buf := make([]ip6.Addr, bufSize)
 			for {
@@ -121,11 +126,11 @@ func collectShardSequences(t *testing.T, stream func(scan.Sink) (scan.Stats, err
 	return seqs, st
 }
 
-// TestGenerateThenStreamEquivalence is the API-redesign acceptance test:
-// for every TGA, materializing Generate's candidate list and Streaming it
-// must be bit-identical — per-shard batch sequences and aggregate stats —
-// to StreamFrom pulling the generator's stream directly, for several
-// worker counts and chunk sizes. The candidate slice never exists on the
+// TestGenerateThenStreamEquivalence: for every TGA, materializing
+// tga.Generate's candidate list and Streaming it must be bit-identical —
+// per-shard batch sequences and aggregate stats — to StreamFrom pulling
+// the generator's NewViewSource stream directly, for several worker
+// counts and chunk sizes. The candidate slice never exists on the
 // StreamFrom side.
 func TestGenerateThenStreamEquivalence(t *testing.T) {
 	seeds := streamSeeds()
@@ -133,8 +138,10 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 	net := netmodel.NewNetwork(3, netmodel.NewASTable(nil))
 	protos := []netmodel.Protocol{netmodel.ICMP, netmodel.TCP80}
 
-	for _, g := range streamers() {
-		candidates := g.Generate(seeds, budget)
+	view := tga.SeedViewOf(seeds)
+	for _, tc := range tgas {
+		g := tc.mk()
+		candidates := tga.Generate(g, seeds, budget)
 		mk := func(workers, chunk int) *scan.Scanner {
 			cfg := scan.DefaultConfig(11)
 			cfg.LossRate = 0.05
@@ -149,7 +156,7 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, chunk := range []int{1, 100, 0} {
 				got, gotStats := collectShardSequences(t, func(sink scan.Sink) (scan.Stats, error) {
-					return mk(workers, chunk).StreamFrom(context.Background(), tga.NewSource(g, seeds, budget), protos, 9, sink)
+					return mk(workers, chunk).StreamFrom(context.Background(), tga.NewViewSource(g, view, budget), protos, 9, sink)
 				})
 				if !reflect.DeepEqual(base, got) {
 					t.Fatalf("%s workers=%d chunk=%d: StreamFrom shard sequences diverge from Generate-then-Stream",
@@ -167,9 +174,8 @@ func TestGenerateThenStreamEquivalence(t *testing.T) {
 // TestSourceEarlyClose: closing a partially pulled source stops the
 // generator goroutine and further pulls; double Close is safe.
 func TestSourceEarlyClose(t *testing.T) {
-	seeds := streamSeeds()
 	g := sixgraph.New(sixgraph.DefaultConfig())
-	src := tga.NewSource(g, seeds, 100000)
+	src := tga.NewViewSource(g, tga.SeedViewOf(streamSeeds()), 100000)
 	buf := make([]ip6.Addr, 16)
 	if n, err := src.Next(buf); n == 0 || err != nil {
 		t.Fatalf("first pull: n=%d err=%v", n, err)

@@ -1,6 +1,7 @@
-// Package tga defines the target generation algorithm (TGA) interface and
-// shared seed utilities used by the concrete generators (6Tree, 6Graph,
-// 6GAN, 6VecLM and the paper's own distance clustering).
+// Package tga defines the one target generation algorithm (TGA)
+// interface, ViewStreamer, and the shared seed utilities used by the
+// concrete generators (6Tree, 6Graph, 6GAN, 6VecLM and the paper's own
+// distance clustering).
 //
 // All generators consume a seed set of known-responsive addresses and emit
 // candidate addresses, the paper's Section 6 workload. The reimplementations
@@ -17,14 +18,32 @@ import (
 	"hitlist6/internal/ip6"
 )
 
-// Generator produces candidate addresses from seeds.
-type Generator interface {
+// ViewStreamer is the one generator interface every TGA implements.
+// EmitView yields up to budget candidates derived from the view's seeds,
+// stopping early when yield returns false; implementations are
+// deterministic and never yield seed addresses or duplicates. A
+// generator keeps an incremental statistical model across calls and
+// rebuilds per-shard statistics only for spans that changed since the
+// previous call (SameSpan), so steady-state rounds cost the emission
+// alone; any view is valid on any call, and the emission always equals
+// a fresh generator's on the same view. Calls must not overlap: a
+// generator serves one emission at a time.
+type ViewStreamer interface {
 	// Name is the analysis label ("6Tree", "6Graph", ...).
 	Name() string
-	// Generate returns up to budget candidates derived from seeds.
-	// Implementations are deterministic and must not return seed
-	// addresses themselves.
-	Generate(seeds []ip6.Addr, budget int) []ip6.Addr
+	EmitView(view *SeedView, budget int, yield func(ip6.Addr) bool)
+}
+
+// Generate materializes g's emission over a flat seed slice — the
+// reference a streaming consumer can be checked against, and the form
+// the one-shot experiments use.
+func Generate(g ViewStreamer, seeds []ip6.Addr, budget int) []ip6.Addr {
+	var out []ip6.Addr
+	g.EmitView(SeedViewOf(seeds), budget, func(a ip6.Addr) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
 }
 
 // DedupAgainstSeeds removes seed addresses and duplicates from candidates,
