@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"hitlist6/internal/ip6"
 	"hitlist6/internal/netmodel"
@@ -180,30 +182,91 @@ type slotRef struct {
 type slotQueue struct {
 	addrs [ip6.AddrShards][]ip6.Addr
 	refs  [ip6.AddrShards][]slotRef
+	// draw and drawShard hold the round's slot addresses and their
+	// shards in candidate order (slot v of candidate i at 16i+v): the
+	// parallel fill's scratch, reused across rounds.
+	draw      []ip6.Addr
+	drawShard []uint8
 	// generic pull cursor (canonical shard order)
 	sh, off int
 }
 
 // fill routes a round's slot addresses into the queue, reusing the
-// previous round's backing arrays.
-func (q *slotQueue) fill(candidates []ip6.Prefix, day int) error {
-	for sh := range q.addrs {
-		q.addrs[sh] = q.addrs[sh][:0]
-		q.refs[sh] = q.refs[sh][:0]
-	}
-	q.sh, q.off = 0, 0
-	for i, p := range candidates {
+// previous round's backing arrays. The draw runs on up to workers
+// goroutines, each over one contiguous piece of the candidate list.
+// Every shard then takes its pieces' slots in piece order, each piece's
+// in candidate order, so each shard's addrs/refs sequence is exactly the
+// one a serial pass over the candidates would build — and with it every
+// probe batch and every output.
+func (q *slotQueue) fill(candidates []ip6.Prefix, day, workers int) error {
+	for _, p := range candidates {
 		if p.Bits()+4 > 128 {
 			return fmt.Errorf("apd: candidate %v too long to subdivide", p)
 		}
-		for v := byte(0); v < 16; v++ {
-			a := SlotAddr(p, v, day)
-			sh := ip6.ShardOf(a)
-			q.addrs[sh] = append(q.addrs[sh], a)
-			q.refs[sh] = append(q.refs[sh], slotRef{cand: int32(i), v: v})
-		}
 	}
+	q.sh, q.off = 0, 0
+	n := 16 * len(candidates)
+	q.draw = slices.Grow(q.draw[:0], n)[:n]
+	q.drawShard = slices.Grow(q.drawShard[:0], n)[:n]
+	pieces := min(max(workers, 1), max(len(candidates), 1))
+	first := func(k int) int { return k * len(candidates) / pieces }
+
+	// Draw each piece's slots and count them per shard.
+	counts := make([][ip6.AddrShards]int, pieces)
+	parallel(pieces, func(k int) {
+		c := &counts[k]
+		for i := first(k); i < first(k+1); i++ {
+			p := candidates[i]
+			for v := byte(0); v < 16; v++ {
+				a := SlotAddr(p, v, day)
+				sh := ip6.ShardOf(a)
+				q.draw[16*i+int(v)] = a
+				q.drawShard[16*i+int(v)] = uint8(sh)
+				c[sh]++
+			}
+		}
+	})
+
+	// Turn the counts into each piece's start offset in each shard.
+	for sh := range q.addrs {
+		total := 0
+		for k := range counts {
+			c := counts[k][sh]
+			counts[k][sh] = total
+			total += c
+		}
+		q.addrs[sh] = slices.Grow(q.addrs[sh][:0], total)[:total]
+		q.refs[sh] = slices.Grow(q.refs[sh][:0], total)[:total]
+	}
+
+	// Scatter: pieces write disjoint index ranges of every shard.
+	parallel(pieces, func(k int) {
+		off := &counts[k]
+		for j := 16 * first(k); j < 16*first(k+1); j++ {
+			sh := q.drawShard[j]
+			q.addrs[sh][off[sh]] = q.draw[j]
+			q.refs[sh][off[sh]] = slotRef{cand: int32(j / 16), v: byte(j % 16)}
+			off[sh]++
+		}
+	})
 	return nil
+}
+
+// parallel runs fn(0), …, fn(n-1) on n goroutines and waits for them.
+func parallel(n int, fn func(k int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			fn(k)
+		}(k)
+	}
+	wg.Wait()
 }
 
 func (q *slotQueue) Next(buf []ip6.Addr) (int, error) {
@@ -230,17 +293,35 @@ func (q *slotQueue) ShardLen(sh int) int { return len(q.addrs[sh]) }
 
 // bitmaps assembles the per-candidate responsive-slot bitmaps from the
 // streamed responsive sets, walking shard-locally (no address hashing).
-func (q *slotQueue) bitmaps(nCands int, resp map[netmodel.Protocol]*ip6.ShardedSet, protos []netmodel.Protocol) []uint16 {
-	out := make([]uint16, nCands)
-	for sh := 0; sh < ip6.AddrShards; sh++ {
-		for i, a := range q.addrs[sh] {
-			for _, proto := range protos {
-				if resp[proto].HasInShard(sh, a) {
-					ref := q.refs[sh][i]
-					out[ref.cand] |= 1 << ref.v
-					break
+// Up to workers goroutines each take a contiguous group of shards into
+// their own bitmaps, which are then ORed together; OR is commutative and
+// associative, so the result is the serial one.
+func (q *slotQueue) bitmaps(nCands int, resp map[netmodel.Protocol]*ip6.ShardedSet, protos []netmodel.Protocol, workers int) []uint16 {
+	sets := make([]*ip6.ShardedSet, len(protos))
+	for i, proto := range protos {
+		sets[i] = resp[proto]
+	}
+	groups := min(max(workers, 1), ip6.AddrShards)
+	parts := make([][]uint16, groups)
+	parallel(groups, func(g int) {
+		out := make([]uint16, nCands)
+		for sh := g * ip6.AddrShards / groups; sh < (g+1)*ip6.AddrShards/groups; sh++ {
+			for i, a := range q.addrs[sh] {
+				for _, set := range sets {
+					if set.HasInShard(sh, a) {
+						ref := q.refs[sh][i]
+						out[ref.cand] |= 1 << ref.v
+						break
+					}
 				}
 			}
+		}
+		parts[g] = out
+	})
+	out := parts[0]
+	for _, part := range parts[1:] {
+		for i, b := range part {
+			out[i] |= b
 		}
 	}
 	return out
@@ -261,7 +342,8 @@ func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*
 	// neither the flat slot-address list nor the result cross product is
 	// ever materialized.
 	queue := &d.queue
-	if err := queue.fill(candidates, day); err != nil {
+	workers := d.scanner.Config().Workers
+	if err := queue.fill(candidates, day, workers); err != nil {
 		return nil, err
 	}
 	resp, stats, err := d.scanner.StreamResponsiveFrom(ctx, queue, d.cfg.Protocols, day)
@@ -270,7 +352,7 @@ func (d *Detector) Run(ctx context.Context, candidates []ip6.Prefix, day int) (*
 	}
 	res.Probes = int(stats.ProbesSent)
 
-	bitmaps := queue.bitmaps(len(candidates), resp, d.cfg.Protocols)
+	bitmaps := queue.bitmaps(len(candidates), resp, d.cfg.Protocols, workers)
 	for i, p := range candidates {
 		bitmap := bitmaps[i]
 		merged := bitmap

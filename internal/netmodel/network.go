@@ -283,74 +283,86 @@ func (n *Network) TrueResponds(target ip6.Addr, p Protocol, day int) bool {
 	return false
 }
 
-// resolution is the outcome of the single per-probe target lookup: the
-// active alias rule covering the target (if any) and the registered host
-// at the exact address (if any). Every probe handler reads from it, so
-// the alias radix walk and the host lookup happen exactly once per probe
-// instead of once per handler-internal check.
-type resolution struct {
-	rule *AliasRule
-	host *Host
+// Resolved is the per-target half of a probe: the target's canonical
+// shard, the alias rule in force over it on the day (if any) and the
+// host registered at the exact address (if any). None of it depends on
+// the probe kind, so a scanner sending several probes to one target
+// resolves it once (Resolve) and sends each probe through
+// ProbeResolved: the shard hash, the alias longest-prefix match and the
+// host lookup then run once per target instead of once per probe.
+type Resolved struct {
+	Target ip6.Addr
+	Day    int
+
+	shard int // ip6.ShardOf(Target)
+	rule  *AliasRule
+	host  *Host
 }
 
-// responds mirrors the pre-resolution respondsToProto check.
-func (r resolution) responds(proto Protocol, day int) bool {
+// Resolve performs the one shard, alias and host lookup of target at
+// the given day.
+func (n *Network) Resolve(target ip6.Addr, day int) Resolved {
+	shard := ip6.ShardOf(target)
+	r := Resolved{Target: target, Day: day, shard: shard, host: n.lookupHost(shard, target)}
+	if _, rule, ok := n.aliases.Lookup(target); ok && rule.activeAt(day) {
+		r.rule = rule
+	}
+	return r
+}
+
+// responds reports whether the resolved target answers proto on its day.
+func (r *Resolved) responds(proto Protocol) bool {
 	if r.rule != nil && r.rule.Protos.Has(proto) {
 		return true
 	}
-	return r.host != nil && r.host.RespondsTo(proto, day)
-}
-
-// resolve performs the one alias + host lookup of a probe. shard must be
-// ip6.ShardOf(target).
-func (n *Network) resolve(target ip6.Addr, shard, day int) resolution {
-	var res resolution
-	if _, r, ok := n.aliases.Lookup(target); ok && r.activeAt(day) {
-		res.rule = r
-	}
-	res.host = n.lookupHost(shard, target)
-	return res
+	return r.host != nil && r.host.RespondsTo(proto, r.Day)
 }
 
 // Probe sends one probe into the world and returns the response.
 // It is safe for concurrent use.
 func (n *Network) Probe(p Probe) Response {
-	shard := ip6.ShardOf(p.Target)
-	n.probes[shard].n.Add(1)
+	r := n.Resolve(p.Target, p.Day)
+	return n.ProbeResolved(&p, &r)
+}
 
-	res := n.resolve(p.Target, shard, p.Day)
+// ProbeResolved sends p to the target r was resolved for and returns the
+// response; the result equals Probe's for the same target and day. It
+// reads the target and day from r, not from p. p and r are only read,
+// and neither is retained. It is safe for concurrent use.
+func (n *Network) ProbeResolved(p *Probe, r *Resolved) Response {
+	n.probes[r.shard].n.Add(1)
 	switch p.Kind {
 	case EchoRequest:
-		return n.probeEcho(p, res)
+		return n.probeEcho(p, r)
 	case TCPSYN:
-		return n.probeTCP(p, res)
+		return n.probeTCP(p, r)
 	case DNSQuery:
-		return n.probeDNS(p, res)
+		return n.probeDNS(p, r)
 	case QUICInitial:
-		return n.probeQUIC(p, res)
+		return n.probeQUIC(r)
 	case PacketTooBig:
-		return n.probePTB(p, res)
+		return n.probePTB(p, r)
 	}
 	return Response{}
 }
 
 // effectiveMTU returns the responder's current PMTU towards us and the
 // cache key, honoring poisoned caches.
-func (n *Network) effectiveMTU(target ip6.Addr, day int, res resolution) (uint16, pmtuKey, bool) {
-	if r := res.rule; r != nil {
-		key := pmtuKey{prefix: r.Prefix, backend: r.BackendOf(target)}
-		if mtu, ok := n.pmtu.get(key, day); ok {
+func (n *Network) effectiveMTU(r *Resolved) (uint16, pmtuKey, bool) {
+	if rule := r.rule; rule != nil {
+		key := pmtuKey{prefix: rule.Prefix, backend: rule.BackendOf(r.Target)}
+		if mtu, ok := n.pmtu.get(key, r.Day); ok {
 			return mtu, key, true
 		}
-		mtu := r.MTU
+		mtu := rule.MTU
 		if mtu == 0 {
 			mtu = 1500
 		}
 		return mtu, key, true
 	}
-	if h := res.host; h != nil {
-		key := pmtuKey{host: target}
-		if mtu, ok := n.pmtu.get(key, day); ok {
+	if h := r.host; h != nil {
+		key := pmtuKey{host: r.Target}
+		if mtu, ok := n.pmtu.get(key, r.Day); ok {
 			return mtu, key, true
 		}
 		mtu := h.MTU
@@ -362,31 +374,31 @@ func (n *Network) effectiveMTU(target ip6.Addr, day int, res resolution) (uint16
 	return 0, pmtuKey{}, false
 }
 
-func (n *Network) probeEcho(p Probe, res resolution) Response {
-	if !res.responds(ICMP, p.Day) {
+func (n *Network) probeEcho(p *Probe, r *Resolved) Response {
+	if !r.responds(ICMP) {
 		return Response{}
 	}
-	mtu, _, _ := n.effectiveMTU(p.Target, p.Day, res)
+	mtu, _, _ := n.effectiveMTU(r)
 	frag := p.Size > 0 && p.Size+48 > int(mtu) // 40 B IPv6 + 8 B ICMPv6 headers
 	return Response{Kind: RespEchoReply, Fragmented: frag}
 }
 
-func (n *Network) probePTB(p Probe, res resolution) Response {
+func (n *Network) probePTB(p *Probe, r *Resolved) Response {
 	// Packet Too Big poisons the responder's PMTU cache; no reply.
-	if !res.responds(ICMP, p.Day) {
+	if !r.responds(ICMP) {
 		return Response{}
 	}
 	mtu := p.MTU
 	if mtu < 1280 {
 		mtu = 1280
 	}
-	if _, key, ok := n.effectiveMTU(p.Target, p.Day, res); ok {
-		n.pmtu.set(key, mtu, p.Day)
+	if _, key, ok := n.effectiveMTU(r); ok {
+		n.pmtu.set(key, mtu, r.Day)
 	}
 	return Response{}
 }
 
-func (n *Network) probeTCP(p Probe, res resolution) Response {
+func (n *Network) probeTCP(p *Probe, r *Resolved) Response {
 	var proto Protocol
 	switch p.Port {
 	case 80:
@@ -396,29 +408,29 @@ func (n *Network) probeTCP(p Probe, res resolution) Response {
 	default:
 		return Response{}
 	}
-	if r := res.rule; r != nil && r.Protos.Has(proto) {
-		return Response{Kind: RespSynAck, FP: r.FingerprintFor(p.Target)}
+	if rule := r.rule; rule != nil && rule.Protos.Has(proto) {
+		return Response{Kind: RespSynAck, FP: rule.FingerprintFor(r.Target)}
 	}
-	if h := res.host; h != nil {
-		if h.RespondsTo(proto, p.Day) {
+	if h := r.host; h != nil {
+		if h.RespondsTo(proto, r.Day) {
 			return Response{Kind: RespSynAck, FP: h.FP}
 		}
 		// A live host without the port sends RST when it is up at all.
-		if h.upAt(p.Day) && h.Protos.Has(ICMP) {
+		if h.upAt(r.Day) && h.Protos.Has(ICMP) {
 			return Response{Kind: RespRST}
 		}
 	}
 	return Response{}
 }
 
-func (n *Network) probeQUIC(p Probe, res resolution) Response {
-	if res.responds(UDP443, p.Day) {
+func (n *Network) probeQUIC(r *Resolved) Response {
+	if r.responds(UDP443) {
 		return Response{Kind: RespQUIC}
 	}
 	return Response{}
 }
 
-func (n *Network) probeDNS(p Probe, res resolution) Response {
+func (n *Network) probeDNS(p *Probe, r *Resolved) Response {
 	query := p.Query
 	txid := p.TxID
 	if query == nil {
@@ -439,8 +451,8 @@ func (n *Network) probeDNS(p Probe, res resolution) Response {
 	// GFW injection happens on the path, before and regardless of the
 	// target itself.
 	if n.GFW != nil {
-		targetAS := n.AS.Lookup(p.Target)
-		if injected := n.GFW.injectInto(p.Arena, p.Target, targetAS, query, txid, p.Day); len(injected) > 0 {
+		targetAS := n.AS.Lookup(r.Target)
+		if injected := n.GFW.injectInto(p.Arena, r.Target, targetAS, query, txid, r.Day); len(injected) > 0 {
 			resp.DNS = injected
 			resp.InjectedCount = len(injected)
 			resp.Kind = RespDNS
@@ -449,19 +461,19 @@ func (n *Network) probeDNS(p Probe, res resolution) Response {
 
 	// The target's own answer, if it serves DNS.
 	behavior := DNSNone
-	if r := res.rule; r != nil && r.Protos.Has(UDP53) {
-		behavior = r.DNS
+	if rule := r.rule; rule != nil && rule.Protos.Has(UDP53) {
+		behavior = rule.DNS
 		if behavior == DNSNone {
 			behavior = DNSRefusing
 		}
-	} else if h := res.host; h != nil && h.RespondsTo(UDP53, p.Day) {
+	} else if h := r.host; h != nil && h.RespondsTo(UDP53, r.Day) {
 		behavior = h.DNS
 		if behavior == DNSNone {
 			behavior = DNSRefusing
 		}
 	}
 	if behavior != DNSNone {
-		if wire := n.answerDNS(p.Arena, p.Target, behavior, query, txid, p.Day); wire != nil {
+		if wire := n.answerDNS(p.Arena, r.Target, behavior, query, txid, r.Day); wire != nil {
 			if resp.DNS == nil {
 				resp.DNS = p.Arena.List()
 			}

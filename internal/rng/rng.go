@@ -44,6 +44,37 @@ func Mix(vs ...uint64) uint64 {
 	return h
 }
 
+// MixPrefix absorbs vs into Mix's state without finalizing it, for
+// callers that draw many Mix values sharing their leading inputs:
+// MixFrom(MixPrefix(a...), b...) == Mix(a..., b...). Mix keeps its own
+// copy of the round so that it, and ip6.ShardOf above it, stay
+// inlinable.
+func MixPrefix(vs ...uint64) uint64 {
+	h := uint64(0x51_7c_c1_b7_27_22_0a_95)
+	for _, v := range vs {
+		h ^= v
+		h *= 0x9e3779b97f4a7c15
+		h = bits.RotateLeft64(h, 29)
+		h *= 0xbf58476d1ce4e5b9
+	}
+	return h
+}
+
+// MixFrom continues a MixPrefix state with vs and finalizes it as Mix
+// does.
+func MixFrom(h uint64, vs ...uint64) uint64 {
+	for _, v := range vs {
+		h ^= v
+		h *= 0x9e3779b97f4a7c15
+		h = bits.RotateLeft64(h, 29)
+		h *= 0xbf58476d1ce4e5b9
+	}
+	h ^= h >> 32
+	h *= 0x94d049bb133111eb
+	h ^= h >> 29
+	return h
+}
+
 // HashString hashes a string with FNV-1a, widened through Mix.
 func HashString(s string) uint64 {
 	const (

@@ -166,6 +166,24 @@ func TestMixProperty(t *testing.T) {
 	}
 }
 
+// TestMixPrefixMatchesMix: continuing a hoisted prefix must give Mix's
+// value bit for bit, at every split of the input list (the scan
+// engine's loss draw splits (seed, hi, lo | proto, day, attempt, salt)).
+func TestMixPrefixMatchesMix(t *testing.T) {
+	f := func(vs [7]uint64) bool {
+		want := Mix(vs[:]...)
+		for k := 0; k <= len(vs); k++ {
+			if MixFrom(MixPrefix(vs[:k]...), vs[k:]...) != want {
+				return false
+			}
+		}
+		return MixFrom(MixPrefix()) == Mix()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHashStringStable(t *testing.T) {
 	if HashString("www.google.com") != HashString("www.google.com") {
 		t.Fatal("HashString not stable")

@@ -146,6 +146,10 @@ type Scanner struct {
 	dnsQuery *dnswire.Message
 	dnsWire  []byte
 
+	// lossTh is the per-attempt loss threshold on a 32-bit draw,
+	// LossRate·2³², fixed at New.
+	lossTh uint64
+
 	// bufPool recycles batch result buffers across Stream calls; sinks
 	// must not retain batches, which is what makes this reuse sound.
 	bufPool sync.Pool
@@ -174,6 +178,9 @@ func New(net *netmodel.Network, cfg Config) *Scanner {
 		cfg.RatePPS = 100_000
 	}
 	s := &Scanner{net: net, cfg: cfg}
+	if cfg.LossRate > 0 {
+		s.lossTh = uint64(cfg.LossRate * (1 << 32))
+	}
 	if cfg.QNameFor == nil {
 		// An unencodable QName leaves the template nil; the per-probe
 		// path then reports it exactly as before (panic on first UDP/53
@@ -233,35 +240,54 @@ func (s *Scanner) dispatchOrder() []int {
 	return s.dispatch
 }
 
-// lost draws deterministic per-attempt probe loss.
-func (s *Scanner) lost(a ip6.Addr, p netmodel.Protocol, day, attempt int) bool {
+// probeTarget is the per-target state of a probe sequence: the network's
+// resolution of the address plus the (seed, hi, lo) prefix its loss and
+// DNS transaction-ID draws share. It is the same for every protocol and
+// attempt sent to the address, so the stream computes it once per
+// target.
+type probeTarget struct {
+	netmodel.Resolved
+	mix uint64 // rng.MixPrefix(Seed, Target.Hi(), Target.Lo())
+}
+
+func (s *Scanner) resolve(a ip6.Addr, day int) probeTarget {
+	return probeTarget{Resolved: s.net.Resolve(a, day), mix: rng.MixPrefix(s.cfg.Seed, a.Hi(), a.Lo())}
+}
+
+// lost draws deterministic per-attempt probe loss: the draw is
+// rng.Mix(Seed, hi, lo, p, day, attempt, 0x1055), continued from the
+// target's hoisted prefix.
+func (s *Scanner) lost(t *probeTarget, p netmodel.Protocol, attempt int) bool {
 	if s.cfg.LossRate <= 0 {
 		return false
 	}
-	th := uint64(s.cfg.LossRate * (1 << 32))
-	return rng.Mix(s.cfg.Seed, a.Hi(), a.Lo(), uint64(p), uint64(day), uint64(attempt), 0x1055)&0xffffffff < th
+	return rng.MixFrom(t.mix, uint64(p), uint64(t.Day), uint64(attempt), 0x1055)&0xffffffff < s.lossTh
 }
 
 // ProbeOne probes a single target with a single protocol, honoring loss
 // and retries.
 func (s *Scanner) ProbeOne(target ip6.Addr, proto netmodel.Protocol, day int) Result {
-	return s.probeOne(target, proto, day, nil)
+	t := s.resolve(target, day)
+	var res Result
+	s.probeInto(&res, &t, proto, nil)
+	return res
 }
 
-// probeOne is ProbeOne with the response's DNS wire buffers drawn from
-// arena slots when one is supplied — the streaming engine's path, which
-// pairs an arena with each batch and recycles both together. The
-// returned Result's DNS slices then alias arena memory and are only
-// valid until the arena resets.
-func (s *Scanner) probeOne(target ip6.Addr, proto netmodel.Protocol, day int, arena *netmodel.WireArena) Result {
-	res := Result{Target: target, Proto: proto, Day: day}
+// probeInto probes the resolved target t with one protocol and writes
+// the outcome to *res, overwriting every field — the streaming engine
+// writes straight into its batch buffer. When arena is non-nil the
+// response's DNS wire buffers are drawn from its slots; the Result's DNS
+// slices then alias arena memory and are only valid until the arena
+// resets.
+func (s *Scanner) probeInto(res *Result, t *probeTarget, proto netmodel.Protocol, arena *netmodel.WireArena) {
+	*res = Result{Target: t.Target, Proto: proto, Day: t.Day}
 	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if s.lost(target, proto, day, attempt) {
+		if s.lost(t, proto, attempt) {
 			continue
 		}
-		pr := s.buildProbe(target, proto, day)
+		pr := s.buildProbe(t, proto)
 		pr.Arena = arena
-		resp := s.net.Probe(pr)
+		resp := s.net.ProbeResolved(&pr, &t.Resolved)
 		if resp.Kind == netmodel.RespNone {
 			// Genuine silence: retrying cannot change the outcome, the
 			// world is deterministic within a day.
@@ -282,10 +308,10 @@ func (s *Scanner) probeOne(target ip6.Addr, proto netmodel.Protocol, day int, ar
 		// retry at a silent target.
 		res.Attempts = uint16(1 + s.cfg.Retries)
 	}
-	return res
 }
 
-func (s *Scanner) buildProbe(target ip6.Addr, proto netmodel.Protocol, day int) netmodel.Probe {
+func (s *Scanner) buildProbe(t *probeTarget, proto netmodel.Protocol) netmodel.Probe {
+	target, day := t.Target, t.Day
 	switch proto {
 	case netmodel.ICMP:
 		return netmodel.Probe{Kind: netmodel.EchoRequest, Target: target, Day: day, Size: 8}
@@ -296,7 +322,8 @@ func (s *Scanner) buildProbe(target ip6.Addr, proto netmodel.Protocol, day int) 
 	case netmodel.UDP443:
 		return netmodel.Probe{Kind: netmodel.QUICInitial, Target: target, Day: day, Port: 443}
 	case netmodel.UDP53:
-		txid := uint16(rng.Mix(s.cfg.Seed, target.Hi(), target.Lo(), uint64(day)))
+		// rng.Mix(Seed, hi, lo, day), continued from the hoisted prefix.
+		txid := uint16(rng.MixFrom(t.mix, uint64(day)))
 		if s.dnsQuery != nil {
 			// Template fast path: the shared parsed query plus the
 			// per-probe transaction ID. Payload carries the template wire

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -311,6 +312,19 @@ func (p *shardProbe) flush() error {
 	return nil
 }
 
+// next extends the batch by one result and returns it for the probe to
+// write in place. The buffer is sized for a whole batch, so it only
+// grows when a source under-reported its shard's length.
+func (p *shardProbe) next() *Result {
+	rs := p.b.Results
+	n := len(rs)
+	if n == cap(rs) {
+		rs = slices.Grow(rs, 1)
+	}
+	p.b.Results = rs[:n+1]
+	return &p.b.Results[n]
+}
+
 // probe runs one segment of the shard's target sequence, flushing full
 // batches as they complete. It returns ctx.Err() on cancellation,
 // errStreamStopped when another worker failed the stream, or a sink
@@ -319,9 +333,13 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 	r := p.run
 	t0 := time.Now()
 	defer func() { r.total.addNanos(p.shard, time.Since(t0)) }()
-	for _, t := range targets {
+	for _, a := range targets {
+		// Everything fixed per target — shard, alias rule, host and the
+		// loss-draw prefix — is resolved once for all its protocols.
+		t := r.s.resolve(a, r.day)
 		for _, proto := range r.protos {
-			res := r.s.probeOne(t, proto, r.day, p.b.arena)
+			res := p.next()
+			r.s.probeInto(res, &t, proto, p.b.arena)
 			p.b.Stats.ProbesSent += uint64(res.Attempts)
 			if res.Kind != netmodel.RespNone {
 				p.b.Stats.Responses++
@@ -329,7 +347,6 @@ func (p *shardProbe) probe(targets []ip6.Addr) error {
 			if res.Success {
 				p.b.Stats.Successes++
 			}
-			p.b.Results = append(p.b.Results, res)
 			p.pos++
 			if len(p.b.Results) == r.batchSize {
 				if err := p.flush(); err != nil {
